@@ -59,7 +59,6 @@ from .words import (
     concat,
     equal_by_search,
     free_reduce,
-    make_generator,
     neighbors,
     parse_word,
 )

@@ -26,15 +26,17 @@ from .perm import is_pure, project
 from .words import Word, WordParseError, free_reduce, parse_word
 
 
-class _RangeError(ValueError):
-    pass
+# Caps on inputs whose cost explodes: `chambers` walks (n-1)! permutations,
+# and the oracle suite visits all 3^L words of each length L up to --radius.
+_MAX_CHAMBER_LABELS = 10
+_MAX_ORACLE_RADIUS = 12
 
 
 def _span(lo: int | None, hi: int | None, default_lo: int, default_hi: int, name: str) -> range:
     lo = default_lo if lo is None else lo
     hi = default_hi if hi is None else hi
     if lo > hi:
-        raise _RangeError(f"empty {name} range [{lo}, {hi}]")
+        raise ValueError(f"empty {name} range [{lo}, {hi}]")
     return range(lo, hi + 1)
 
 
@@ -81,6 +83,8 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
 
 
 def _cmd_chambers(args: argparse.Namespace) -> int:
+    if args.n > _MAX_CHAMBER_LABELS:
+        raise ValueError(f"--n {args.n} is above the limit of {_MAX_CHAMBER_LABELS}")
     for chamber in enumerate_chambers(args.n):
         print(chamber)
     return 0
@@ -106,6 +110,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         kr = _span(args.kmin, args.kmax, -15, 15, "k")
         report = check_isomorphism(kr)
     else:
+        if not 0 <= args.radius <= _MAX_ORACLE_RADIUS:
+            raise ValueError(f"--radius {args.radius} is outside 0..{_MAX_ORACLE_RADIUS}")
         report = check_oracle(args.radius)
     print(report.render())
     return 0 if report.ok() else 1
@@ -177,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (WordParseError, _RangeError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,8 @@ n = 4 there are three chambers and the dual complex is a 3-cycle; its
 universal cover is a line whose vertices carry a chamber name and a winding
 index k.
 
+Chamber representatives start at label 1 and read towards its smaller
+neighbour; this is the lexicographically least rotation or reflection.
 Chamber names: anchor the largest label, read the remaining labels around
 the circle in both directions, and keep the lexicographically smaller
 string.  For n = 4 this yields the names 213, 123, 132.
@@ -16,7 +18,6 @@ string.  For n = 4 this yields the names 213, 123, 132.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 from .words import DegreeMismatchError
@@ -27,6 +28,11 @@ class Chamber:
     """Canonical representative of a cyclic arrangement of 1..n."""
 
     order: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        _check_arrangement(self.order)
+        if self.order[0] != 1 or self.order[1] > self.order[-1]:
+            raise ValueError(f"{self.order} is not a canonical chamber representative")
 
     @property
     def degree(self) -> int:
@@ -48,28 +54,31 @@ def _rotate_to_front(seq: tuple[int, ...], anchor: int) -> tuple[int, ...]:
     return seq[i:] + seq[:i]
 
 
-def _dihedral_images(seq: tuple[int, ...]):
-    for s in (seq, tuple(reversed(seq))):
-        for i in range(len(s)):
-            yield s[i:] + s[:i]
+def _check_arrangement(seq: tuple[int, ...]) -> None:
+    n = len(seq)
+    if n < 3:
+        raise ValueError(f"need at least 3 labels, got {n}")
+    if set(seq) != set(range(1, n + 1)):
+        raise ValueError(f"{seq} is not an arrangement of 1..{n}")
 
 
 def canonical_chamber(seq) -> Chamber:
     """Chamber of a label sequence; representative is the lex-min dihedral image."""
     seq = tuple(seq)
-    n = len(seq)
-    if n < 3:
-        raise ValueError(f"need at least 3 labels, got {n}")
-    if sorted(seq) != list(range(1, n + 1)):
-        raise ValueError(f"{seq} is not an arrangement of 1..{n}")
-    return Chamber(min(_dihedral_images(seq)))
+    _check_arrangement(seq)
+    seq = _rotate_to_front(seq, 1)
+    if seq[1] > seq[-1]:
+        seq = (1, *reversed(seq[1:]))
+    return Chamber(seq)
 
 
-@lru_cache(maxsize=None)
 def enumerate_chambers(n: int) -> tuple[Chamber, ...]:
     """All chambers for n labels, sorted; there are (n-1)!/2 of them."""
-    found = {canonical_chamber(p) for p in permutations(range(1, n + 1))}
-    return tuple(sorted(found))
+    if n < 3:
+        raise ValueError(f"need at least 3 labels, got {n}")
+    return tuple(
+        Chamber((1, *rest)) for rest in permutations(range(2, n + 1)) if rest[0] < rest[-1]
+    )
 
 
 def chamber_adjacent(c1: Chamber, c2: Chamber) -> bool:
@@ -125,6 +134,8 @@ class CoverVertex:
     def __post_init__(self) -> None:
         if self.label not in COVER_LABELS:
             raise ValueError(f"label must be one of {COVER_LABELS}, got {self.label!r}")
+        if type(self.k) is not int:
+            raise ValueError(f"winding index must be an int, got {self.k!r}")
 
     def __str__(self) -> str:
         return f"[{self.label}]_{self.k}"
@@ -153,14 +164,6 @@ def deck_act(d: DeckElement, v: CoverVertex) -> CoverVertex:
     return CoverVertex(v.label, v.k + d.j)
 
 
-@lru_cache(maxsize=None)
-def _chamber_by_name(name: str) -> Chamber:
-    for c in enumerate_chambers(4):
-        if c.name == name:
-            return c
-    raise ValueError(f"no 4-label chamber named {name!r}")
-
-
 def covering_map(v: CoverVertex) -> Chamber:
-    """Forget the winding index."""
-    return _chamber_by_name(v.label)
+    """Forget the winding index: the chamber named by the label, read after 4."""
+    return canonical_chamber((4, *map(int, v.label)))

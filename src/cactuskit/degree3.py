@@ -37,8 +37,10 @@ class CanonicalForm:
     eps: int = 0
 
     def __post_init__(self) -> None:
-        if self.eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {self.eps}")
+        if type(self.m) is not int:
+            raise ValueError(f"m must be an int, got {self.m!r}")
+        if type(self.eps) is not int or self.eps not in (0, 1):
+            raise ValueError(f"eps must be 0 or 1, got {self.eps!r}")
 
     def __str__(self) -> str:
         return f"(m={self.m}, eps={self.eps})"

@@ -66,12 +66,9 @@ def pure_action(g: PureElement, h: CanonicalForm) -> CanonicalForm:
     return out
 
 
-_LABEL_OFFSET = {"213": 1, "123": 0, "132": -1}
-
-
 def cover_to_group(v: CoverVertex) -> CanonicalForm:
     """Vertex bijection from the cover line onto the eps=0 elements."""
-    return CanonicalForm(3 * v.k + _LABEL_OFFSET[v.label], 0)
+    return CanonicalForm(3 * v.k + 1 - COVER_LABELS.index(v.label), 0)
 
 
 def cover_to_group_perturbed(v: CoverVertex) -> CanonicalForm:
@@ -85,12 +82,8 @@ def group_to_cover(c: CanonicalForm) -> CoverVertex:
     """Inverse of cover_to_group."""
     if not in_dihedral_subgroup(c):
         raise OutsideSubgroupError(f"{c} has a trailing s13; no cover vertex maps to it")
-    r = c.m % 3
-    if r == 1:
-        return CoverVertex("213", (c.m - 1) // 3)
-    if r == 0:
-        return CoverVertex("123", c.m // 3)
-    return CoverVertex("132", (c.m + 1) // 3)
+    k, r = divmod(c.m + 1, 3)
+    return CoverVertex(COVER_LABELS[2 - r], k)
 
 
 @dataclass(frozen=True)

@@ -73,11 +73,6 @@ class Generator:
         return Generator(s - self.q, s - self.p, self.n)
 
 
-def make_generator(p: int, q: int, n: int) -> Generator:
-    """Validating constructor for s_{p,q} at degree n."""
-    return Generator(p, q, n)
-
-
 def all_generators(n: int) -> list[Generator]:
     return [Generator(p, q, n) for p in range(1, n) for q in range(p + 1, n + 1)]
 

@@ -104,6 +104,14 @@ def test_chambers_listing(capsys):
     assert len(out.splitlines()) == 12
 
 
+def test_chambers_refuses_too_many_labels(capsys):
+    for n in ("11", "100"):
+        code, out, err = run_cli(capsys, "chambers", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "limit of 10" in err
+
+
 def test_cover_listing(capsys):
     code, out, _ = run_cli(capsys, "cover", "--radius", "0")
     assert code == 0
@@ -151,6 +159,17 @@ def test_verify_bad_range(capsys):
     code, _, err = run_cli(capsys, "verify", "equivariance", "--jmin", "3", "--jmax", "-3")
     assert code == 2
     assert "empty j range" in err
+
+
+def test_verify_oracle_radius_limits(capsys):
+    for radius in ("-3", "-1", "13"):
+        code, out, err = run_cli(capsys, "verify", "oracle", "--radius", radius)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "outside 0..12" in err
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--radius", "0")
+    assert code == 0
+    assert out.startswith("OK ")
 
 
 def test_unknown_subcommand(capsys):

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,32 @@ def test_canonical_chamber_validation():
         canonical_chamber((1, 2, 2, 4))
     with pytest.raises(ValueError):
         canonical_chamber((1, 2))
+    with pytest.raises(ValueError):
+        enumerate_chambers(2)
+
+
+def test_chamber_accepts_only_canonical_representatives():
+    assert Chamber((1, 2, 3, 4)) == canonical_chamber((2, 1, 4, 3))
+    for order in ((2, 1, 3, 4), (1, 4, 3, 2), (1, 3, 2, 3), (1, 2), (1, 2, 4), ()):
+        with pytest.raises(ValueError):
+            Chamber(order)
+
+
+def _lex_min_dihedral_image(seq):
+    images = (s[i:] + s[:i] for s in (seq, seq[::-1]) for i in range(len(seq)))
+    return min(images)
+
+
+@given(st.integers(min_value=3, max_value=9).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_canonical_chamber_is_the_lex_min_dihedral_image(labels):
+    labels = tuple(labels)
+    assert canonical_chamber(labels).order == _lex_min_dihedral_image(labels)
+
+
+def test_enumeration_matches_canonicalising_every_permutation():
+    for n in range(3, 8):
+        expected = sorted({canonical_chamber(p) for p in permutations(range(1, n + 1))})
+        assert list(enumerate_chambers(n)) == expected
 
 
 def test_canonical_representative_is_stable():
@@ -92,8 +120,9 @@ def test_cover_window_order():
 
 
 def test_cover_vertex_validation():
-    with pytest.raises(ValueError):
-        CoverVertex("124", 0)
+    for label, k in (("124", 0), ("123", "1"), ("123", 1.0), ("123", True)):
+        with pytest.raises(ValueError):
+            CoverVertex(label, k)
 
 
 def test_deck_action_examples():
@@ -131,6 +160,12 @@ def test_covering_map_fibers():
                 # the deck group moves any lift to any other lift of the
                 # same chamber
                 assert deck_act(DeckElement(b.k - a.k), a) == b
+
+
+def test_covering_map_matches_a_name_scan():
+    by_name = {c.name: c for c in enumerate_chambers(4)}
+    for v in cover_window(1):
+        assert covering_map(v) == by_name[v.label]
 
 
 def test_cover_adjacency_projects_to_wall_adjacency():

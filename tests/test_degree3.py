@@ -52,8 +52,9 @@ def test_canonicalize_examples():
 def test_canonical_form_text():
     assert str(CanonicalForm(3, 1)) == "(m=3, eps=1)"
     assert str(CanonicalForm(-4, 0)) == "(m=-4, eps=0)"
-    with pytest.raises(ValueError):
-        CanonicalForm(0, 2)
+    for m, eps in ((0, 2), (1.5, True), (1.5, 0), ("1", 0), (0, True), (0, 1.0)):
+        with pytest.raises(ValueError):
+            CanonicalForm(m, eps)
 
 
 def test_from_index_and_to_word_examples():

@@ -17,7 +17,6 @@ from cactuskit.words import (
     concat,
     equal_by_search,
     free_reduce,
-    make_generator,
     neighbors,
     parse_word,
     relation_instances,
@@ -39,15 +38,15 @@ def words_of(degree, max_size=8):
     )
 
 
-def test_make_generator():
-    assert str(make_generator(1, 2, 3)) == "s1,2"
-    assert str(make_generator(1, 3, 3)) == "s1,3"
+def test_generator_validation():
+    assert str(Generator(1, 2, 3)) == "s1,2"
+    assert str(Generator(1, 3, 3)) == "s1,3"
     with pytest.raises(InvalidGeneratorError):
-        make_generator(2, 2, 3)
+        Generator(2, 2, 3)
     with pytest.raises(InvalidGeneratorError):
-        make_generator(0, 2, 3)
+        Generator(0, 2, 3)
     with pytest.raises(InvalidGeneratorError):
-        make_generator(1, 4, 3)
+        Generator(1, 4, 3)
 
 
 def test_parse_word_round_trip():
