@@ -3,9 +3,12 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+import cactuskit.equiv as equiv
 from cactuskit.confspace import COVER_LABELS, CoverVertex, DeckElement
 from cactuskit.degree3 import (
+    AFFINE_IDENTITY,
     IDENTITY,
+    AffineMap,
     CanonicalForm,
     canonicalize,
     in_dihedral_subgroup,
@@ -184,6 +187,75 @@ def test_check_oracle_small():
     report = check_oracle(4)
     assert report.ok()
     assert report.total == 121 + 5  # words of length <= 4 plus the relators
+
+
+def _break_pure_action(monkeypatch):
+    """Make the action by the first pure power miss the identity by one index."""
+
+    def broken(g, h):
+        out = pure_action(g, h)
+        return CanonicalForm(out.m + 1, 0) if (g.k, h.m) == (1, 0) else out
+
+    monkeypatch.setattr(equiv, "pure_action", broken)
+
+
+def test_equivariance_failure_lines(monkeypatch):
+    _break_pure_action(monkeypatch)
+    report = check_equivariance(range(0, 2), range(-1, 1))
+    assert report.render() == (
+        "FAIL j=1 v=[123]_0 lhs=(m=3, eps=0) rhs=(m=4, eps=0)\n"
+        "FAIL 1/12"
+    )
+
+
+def test_action_axioms_failure_lines(monkeypatch):
+    _break_pure_action(monkeypatch)
+    report = verify_action_axioms(range(0, 2), range(0, 2))
+    assert report.render() == (
+        "FAIL k1=1 k2=1 m=0 lhs=(m=6, eps=0) rhs=(m=7, eps=0)\n"
+        "FAIL 1/10"
+    )
+
+
+def test_shift_law_index_failure_skips_length_case(monkeypatch):
+    _break_pure_action(monkeypatch)
+    report = check_shift_law(range(0, 2), range(-1, 2))
+    # 10 cases when everything passes; the failed index check drops k=1 m=0's length case.
+    assert report.render() == "FAIL k=1 m=0 got=(m=4, eps=0)\nFAIL 1/9"
+
+
+def test_shift_law_length_failure_lines(monkeypatch):
+    monkeypatch.setattr(
+        equiv, "to_word", lambda c: to_word(CanonicalForm(5, 0) if c.m == 4 else c)
+    )
+    report = check_shift_law(range(0, 2), range(-1, 2))
+    assert report.render() == "FAIL k=1 m=1 length=5\nFAIL 1/10"
+
+
+def test_isomorphism_failure_lines(monkeypatch):
+    monkeypatch.setattr(equiv, "deck_from_pure", lambda g: DeckElement(g.k + (g.k == 1)))
+    report = check_isomorphism(range(0, 2))
+    assert report.render() == (
+        "FAIL round trip k=1 via deck\n"
+        "FAIL round trip j=1 via pure\n"
+        "FAIL k1=1 k2=1 lhs=j2 rhs=j4\n"
+        "FAIL 3/8"
+    )
+
+
+def test_oracle_failure_lines(monkeypatch):
+    wrong = {"s1,2 s2,3": AFFINE_IDENTITY, "s1,3 s1,3": AffineMap(-1, 1)}
+    real = equiv.evaluate_word
+    monkeypatch.setattr(equiv, "evaluate_word", lambda w: wrong.get(str(w)) or real(w))
+    report = check_oracle(2)
+    assert report.render() == (
+        "FAIL word=s1,2 s2,3 affine=(sign=+1, shift=0) canon=(m=2, eps=0) "
+        "expected=(m=0, eps=0)\n"
+        "FAIL word=s1,3 s1,3 canon=(m=0, eps=0) affine=(sign=-1, shift=1) "
+        "expected=(sign=+1, shift=0)\n"
+        "FAIL involution relator s1,3 s1,3 =  not respected\n"
+        "FAIL 3/18"
+    )
 
 
 def test_report_merge_and_render():
