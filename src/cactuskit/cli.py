@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success (and all checks passing), 1 verification failure or a
-negative `pure` answer, 2 usage or parse errors.
+negative `pure` answer, 2 usage, parse or I/O errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -182,8 +183,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left; send the rest of the buffer to devnull so that the
+        # flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

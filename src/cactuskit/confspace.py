@@ -3,10 +3,13 @@ and the line that covers it.
 
 A chamber is a cyclic arrangement of the labels 1..n up to rotation and
 reflection.  Two chambers are adjacent when one arises from the other by
-swapping two cyclically neighboring labels (a single collision wall).  For
-n = 4 there are three chambers and the dual complex is a 3-cycle; its
-universal cover is a line whose vertices carry a chamber name and a winding
-index k.
+swapping two cyclically neighboring labels (a single collision wall).  This
+swap adjacency finds every wall of the chamber tiling, n(n-3)/2 per chamber,
+only for 4 and 5 labels.  A wall may reverse any block of 2 to n-2
+neighboring labels, so from n = 6 on swaps find only n of the walls: 6 of 9
+at n = 6, 7 of 14 at n = 7.  For n = 4 there are three chambers and the
+dual complex is a 3-cycle; its universal cover is a line whose vertices carry
+a chamber name and a winding index k.
 
 Chamber representatives start at label 1 and read towards its smaller
 neighbour; this is the lexicographically least rotation or reflection.
@@ -82,7 +85,11 @@ def enumerate_chambers(n: int) -> tuple[Chamber, ...]:
 
 
 def chamber_adjacent(c1: Chamber, c2: Chamber) -> bool:
-    """Whether one chamber turns into the other by one adjacent-label swap."""
+    """Whether one chamber turns into the other by one adjacent-label swap.
+
+    These are all the walls for 4 and 5 labels; from 6 labels on, the walls
+    that reverse a block of 3 to n-3 labels are not counted.
+    """
     if c1.degree != c2.degree:
         raise DegreeMismatchError("cannot compare chambers of different degrees")
     if c1 == c2:

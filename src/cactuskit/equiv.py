@@ -16,8 +16,10 @@ control so the verifiers themselves can be shown to catch errors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
+from inspect import signature
 from itertools import product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .confspace import COVER_LABELS, CoverVertex, DeckElement, deck_act
 from .degree3 import (
@@ -110,14 +112,30 @@ class Report:
 CoverMap = Callable[[CoverVertex], CanonicalForm]
 
 
+def _sweep(suite: Callable[..., Iterator[str | None]]) -> Callable[..., Report]:
+    """Turn a generator that yields one item per case -- None when the case
+    passes, its failure line when it fails -- into a verifier returning a Report."""
+
+    @wraps(suite)
+    def verifier(*args, **kwargs) -> Report:
+        total = 0
+        failures = []
+        for total, outcome in enumerate(suite(*args, **kwargs), 1):
+            if outcome is not None:
+                failures.append(outcome)
+        return Report(total, tuple(failures))
+
+    verifier.__signature__ = signature(suite).replace(return_annotation=Report)
+    return verifier
+
+
+@_sweep
 def check_equivariance(
     j_range: Iterable[int],
     k_range: Iterable[int],
     phi: CoverMap = cover_to_group,
-) -> Report:
+) -> Iterator[str | None]:
     """Deck shift then phi must equal phi then the pure action."""
-    total = 0
-    failures = []
     ks = list(k_range)
     for j in j_range:
         g = PureElement(j)
@@ -127,25 +145,19 @@ def check_equivariance(
                 v = CoverVertex(label, k)
                 lhs = phi(deck_act(d, v))
                 rhs = pure_action(g, phi(v))
-                total += 1
-                if lhs != rhs:
-                    failures.append(f"FAIL j={j} v={v} lhs={lhs} rhs={rhs}")
-    return Report(total, tuple(failures))
+                yield f"FAIL j={j} v={v} lhs={lhs} rhs={rhs}" if lhs != rhs else None
 
 
-def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Report:
+@_sweep
+def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[str | None]:
     """Identity and compatibility axioms of the pure action."""
-    total = 0
-    failures = []
     ks = list(k_range)
     ms = list(m_range)
     e = PureElement(0)
     for m in ms:
         h = CanonicalForm(m, 0)
         got = pure_action(e, h)
-        total += 1
-        if got != h:
-            failures.append(f"FAIL identity m={m} got={got}")
+        yield f"FAIL identity m={m} got={got}" if got != h else None
     for k1, k2 in product(ks, ks):
         g1, g2 = PureElement(k1), PureElement(k2)
         g12 = PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
@@ -153,30 +165,24 @@ def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Repo
             h = CanonicalForm(m, 0)
             lhs = pure_action(g12, h)
             rhs = pure_action(g1, pure_action(g2, h))
-            total += 1
-            if lhs != rhs:
-                failures.append(f"FAIL k1={k1} k2={k2} m={m} lhs={lhs} rhs={rhs}")
-    return Report(total, tuple(failures))
+            yield f"FAIL k1={k1} k2={k2} m={m} lhs={lhs} rhs={rhs}" if lhs != rhs else None
 
 
-def check_shift_law(k_range: Iterable[int], m_range: Iterable[int]) -> Report:
+@_sweep
+def check_shift_law(k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[str | None]:
     """Acting by the k-th pure power adds 3k to the alternating index."""
-    total = 0
-    failures = []
     for k in k_range:
         g = PureElement(k)
         for m in m_range:
             out = pure_action(g, CanonicalForm(m, 0))
-            total += 1
             if out != CanonicalForm(m + 3 * k, 0):
-                failures.append(f"FAIL k={k} m={m} got={out}")
+                yield f"FAIL k={k} m={m} got={out}"
                 continue
+            yield None
             if m >= 0 and k >= 0:
                 # Word length grows by exactly 3k on this quadrant.
-                total += 1
-                if len(to_word(out)) != m + 3 * k:
-                    failures.append(f"FAIL k={k} m={m} length={len(to_word(out))}")
-    return Report(total, tuple(failures))
+                length = len(to_word(out))
+                yield f"FAIL k={k} m={m} length={length}" if length != m + 3 * k else None
 
 
 def deck_from_pure(g: PureElement) -> DeckElement:
@@ -188,28 +194,21 @@ def pure_from_deck(d: DeckElement) -> PureElement:
     return PureElement(d.j)
 
 
-def check_isomorphism(k_range: Iterable[int]) -> Report:
+@_sweep
+def check_isomorphism(k_range: Iterable[int]) -> Iterator[str | None]:
     """deck_from_pure is a homomorphism and pure_from_deck inverts it."""
-    total = 0
-    failures = []
     ks = list(k_range)
     for k in ks:
         g = PureElement(k)
         d = DeckElement(k)
-        total += 2
-        if pure_from_deck(deck_from_pure(g)) != g:
-            failures.append(f"FAIL round trip k={k} via deck")
-        if deck_from_pure(pure_from_deck(d)) != d:
-            failures.append(f"FAIL round trip j={k} via pure")
+        yield f"FAIL round trip k={k} via deck" if pure_from_deck(deck_from_pure(g)) != g else None
+        yield f"FAIL round trip j={k} via pure" if deck_from_pure(pure_from_deck(d)) != d else None
     for k1, k2 in product(ks, ks):
         g1, g2 = PureElement(k1), PureElement(k2)
         g12 = PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
         lhs = deck_from_pure(g12)
         rhs = deck_from_pure(g1).then(deck_from_pure(g2))
-        total += 1
-        if lhs != rhs:
-            failures.append(f"FAIL k1={k1} k2={k2} lhs=j{lhs.j} rhs=j{rhs.j}")
-    return Report(total, tuple(failures))
+        yield f"FAIL k1={k1} k2={k2} lhs=j{lhs.j} rhs=j{rhs.j}" if lhs != rhs else None
 
 
 def _words_up_to(max_len: int) -> Iterable[Word]:
@@ -219,24 +218,22 @@ def _words_up_to(max_len: int) -> Iterable[Word]:
             yield Word(3, letters)
 
 
-def check_oracle(max_len: int = 8) -> Report:
+@_sweep
+def check_oracle(max_len: int = 8) -> Iterator[str | None]:
     """Canonical forms and the affine model induce the same word partition,
     and every relator evaluates to the identity map."""
-    total = 0
-    failures = []
     canon_to_affine = {}
     affine_to_canon = {}
     for w in _words_up_to(max_len):
         c = canonicalize(w)
         a = evaluate_word(w)
-        total += 1
         if canon_to_affine.setdefault(c, a) != a:
-            failures.append(f"FAIL word={w} canon={c} affine={a} expected={canon_to_affine[c]}")
+            yield f"FAIL word={w} canon={c} affine={a} expected={canon_to_affine[c]}"
         elif affine_to_canon.setdefault(a, c) != c:
-            failures.append(f"FAIL word={w} affine={a} canon={c} expected={affine_to_canon[a]}")
+            yield f"FAIL word={w} affine={a} canon={c} expected={affine_to_canon[a]}"
+        else:
+            yield None
     for family, lhs, rhs in relation_instances(3):
         relator = Word(3, lhs.letters + tuple(reversed(rhs.letters)))
-        total += 1
-        if evaluate_word(relator) != AFFINE_IDENTITY:
-            failures.append(f"FAIL {family} relator {lhs} = {rhs} not respected")
-    return Report(total, tuple(failures))
+        broken = evaluate_word(relator) != AFFINE_IDENTITY
+        yield f"FAIL {family} relator {lhs} = {rhs} not respected" if broken else None

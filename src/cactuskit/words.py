@@ -50,7 +50,8 @@ class Generator:
     n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.p < self.q <= self.n:
+        ints = type(self.p) is type(self.q) is type(self.n) is int
+        if not (ints and 1 <= self.p < self.q <= self.n):
             raise InvalidGeneratorError(
                 f"s{self.p},{self.q} is not a generator at degree {self.n}"
             )
@@ -86,8 +87,8 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))
-        if self.degree < 2:
-            raise ValueError(f"degree must be at least 2, got {self.degree}")
+        if type(self.degree) is not int or self.degree < 2:
+            raise ValueError(f"degree must be an int of at least 2, got {self.degree!r}")
         for g in self.letters:
             if g.n != self.degree:
                 raise DegreeMismatchError(

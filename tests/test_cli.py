@@ -1,7 +1,11 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from cactuskit.cli import main
 
@@ -95,6 +99,29 @@ def test_cayley_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["radius"] == 2
 
 
+def test_cayley_out_io_errors(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "window.dot", tmp_path):
+        code, out, err = run_cli(capsys, "cayley", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(target) in err
+
+
+def test_closed_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cactuskit", "cover", "--radius", "100000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"[213]_-100000\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 2
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err
+
+
 def test_chambers_listing(capsys):
     code, out, _ = run_cli(capsys, "chambers", "--n", "4")
     assert code == 0
@@ -184,3 +211,70 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "(m=-1, eps=0)\n"
+
+
+def _flag(name, values):
+    return st.tuples(st.just(name), values)
+
+
+def _any_of(*flags):
+    return st.lists(st.one_of(*flags), max_size=3)
+
+
+_RANGE_FLAGS = ("jmin", "jmax", "kmin", "kmax", "mmin", "mmax")
+_small = st.integers(min_value=-2, max_value=5).map(str)
+_word = st.lists(
+    st.sampled_from(["s1,2", "s1,3", "s2,3", "s2,4", "s3,4", "s0,1", "s2,1", "s1,", "x", ""]),
+    max_size=4,
+).map(" ".join)
+_argv = st.one_of(
+    st.tuples(
+        st.sampled_from(["normalize", "project", "pure"]),
+        _any_of(_word, st.just("--stdin"), _flag("--n", _small)),
+    ),
+    st.tuples(
+        st.just("cayley"),
+        _any_of(
+            _flag("--group", st.sampled_from(["J3", "J3_2", "J4"])),
+            _flag("--radius", st.integers(-1, 4).map(str)),
+            _flag("--format", st.sampled_from(["dot", "json", "svg"])),
+        ),
+    ),
+    st.tuples(
+        st.just("chambers"),
+        _any_of(_flag("--n", st.sampled_from(["-1", "0", "2", "3", "4", "6", "11", "12", "x"]))),
+    ),
+    st.tuples(st.just("cover"), _any_of(_flag("--radius", _small))),
+    # Range flags are always given: each default window takes up to a second.
+    st.tuples(
+        st.just("verify"),
+        st.sampled_from(["equivariance", "action", "iso", "oracle", "shift"]),
+        st.tuples(*(_flag(f"--{end}", _small) for end in _RANGE_FLAGS)),
+        _flag("--radius", st.sampled_from(["-1", "0", "2", "4", "13"])),
+        st.lists(st.just("--perturb-map"), max_size=1),
+    ),
+    st.lists(
+        st.sampled_from(
+            ["normalize", "cover", "chambers", "frobnicate", "--n", "--radius", "--stdin",
+             "--format", "-h", "3", "-1", "s1,2", "s1,2 s2,3", ""]
+        ),
+        max_size=5,
+    ),
+)
+
+
+def _flatten(parts):
+    if isinstance(parts, (tuple, list)):
+        return [token for part in parts for token in _flatten(part)]
+    return [parts]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_argv.map(_flatten), _word)
+def test_main_fuzz_never_raises(argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin_text)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

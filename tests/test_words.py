@@ -47,6 +47,9 @@ def test_generator_validation():
         Generator(0, 2, 3)
     with pytest.raises(InvalidGeneratorError):
         Generator(1, 4, 3)
+    for p, q, n in ((1.5, 2, 3), (1, 2.0, 3), (1, 2, 3.0), (True, 2, 3), (1, 2, "3")):
+        with pytest.raises(InvalidGeneratorError):
+            Generator(p, q, n)
 
 
 def test_parse_word_round_trip():
@@ -63,6 +66,14 @@ def test_word_rejects_mixed_degrees():
         Word(3, (Generator(1, 2, 4),))
     with pytest.raises(DegreeMismatchError):
         concat(w3("s1,2"), w4("s1,2"))
+
+
+def test_word_rejects_non_int_degree():
+    for degree in (3.0, True, "3", None):
+        with pytest.raises(ValueError, match="degree must be an int"):
+            Word(degree, ())
+    with pytest.raises(ValueError, match="degree must be an int"):
+        Word(1)
 
 
 def test_free_reduce():
