@@ -28,6 +28,10 @@ from cactuskit.words import (
     relation_instances,
 )
 
+degree3_words = st.lists(st.sampled_from(all_generators(3)), max_size=60).map(
+    lambda letters: Word(3, tuple(letters))
+)
+
 forms = st.builds(
     CanonicalForm, st.integers(min_value=-30, max_value=30), st.sampled_from((0, 1))
 )
@@ -171,6 +175,29 @@ def test_affine_power_is_translation():
     a = evaluate_word(six)
     assert a.sign == 1
     assert a.shift != 0 and a.shift % 2 == 0
+
+
+@given(degree3_words)
+def test_evaluate_word_equals_the_fold_of_affine_images(w):
+    acc = AFFINE_IDENTITY
+    for g in w.letters:
+        acc = acc.then(affine_model(g))
+    assert evaluate_word(w) == acc
+
+
+@given(degree3_words)
+def test_canonicalize_equals_the_fold_of_letter_forms(w):
+    letter_form = {
+        "s1,2": CanonicalForm(1, 0),
+        "s2,3": CanonicalForm(-1, 0),
+        "s1,3": CanonicalForm(0, 1),
+    }
+    acc = IDENTITY
+    for g in w.letters:
+        acc = mul(acc, letter_form[str(g)])
+    c = canonicalize(w)
+    assert c == acc
+    assert canonicalize(to_word(c)) == c
 
 
 def test_affine_map_validation_and_text():

@@ -64,6 +64,29 @@ def test_purity_of_powers():
         assert is_pure(w) == (j % 3 == 0)
 
 
+def words_of_degree_2_to_7(max_size=60):
+    return st.integers(min_value=2, max_value=7).flatmap(
+        lambda n: st.lists(st.sampled_from(all_generators(n)), max_size=max_size).map(
+            lambda letters: Word(n, tuple(letters))
+        )
+    )
+
+
+def project_by_fold(w):
+    """Reference: the leftmost-first product of one reversal per letter."""
+    acc = Permutation.identity(w.degree)
+    for g in w.letters:
+        acc = acc.then(interval_reversal(g.p, g.q, w.degree))
+    return acc
+
+
+@given(words_of_degree_2_to_7())
+def test_project_equals_the_fold_of_interval_reversals(w):
+    expected = project_by_fold(w)
+    assert project(w) == expected
+    assert is_pure(w) == expected.is_identity()
+
+
 @given(st.permutations(list(range(1, 7))))
 def test_inverse_and_composition(images):
     p = Permutation(tuple(images))

@@ -61,6 +61,27 @@ def test_parse_word_round_trip():
         parse_word("s3,1", 3)
 
 
+def test_parse_word_edge_cases():
+    s12 = Generator(1, 2, 3)
+    assert parse_word("s1,2 s1,2 s1,2", 3) == Word(3, (s12, s12, s12))
+    assert parse_word("s01,2 s1,2", 3) == Word(3, (s12, s12))
+    failures = [
+        ("s1,2 s2,3 s1,2 s3,4", 3, "token 3: s3,4 is not a generator at degree 3"),
+        ("s1,2 s3,4 s3,4", 3, "token 1: s3,4 is not a generator at degree 3"),
+        ("s1,2 s1,2 x", 3, "token 2: 'x' is not of the form s<p>,<q>"),
+        ("s1,2 s1,2 s1,2,", 3, "token 2: 's1,2,' is not of the form s<p>,<q>"),
+        ("s1,2", True, "token 0: s1,2 is not a generator at degree True"),
+        ("s1,2", 2.0, "token 0: s1,2 is not a generator at degree 2.0"),
+    ]
+    for text, degree, message in failures:
+        with pytest.raises(WordParseError) as info:
+            parse_word(text, degree)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        parse_word("", True)
+    assert str(info.value) == "degree must be an int of at least 2, got True"
+
+
 def test_word_rejects_mixed_degrees():
     with pytest.raises(DegreeMismatchError):
         Word(3, (Generator(1, 2, 4),))
