@@ -74,14 +74,12 @@ def canonicalize(w: Word) -> CanonicalForm:
         raise DegreeMismatchError(f"canonical form is degree-3 only, got degree {w.degree}")
     m = 0
     eps = 0
+    # At degree 3, q - p == 2 only for s13; among s12 and s23, p == 1 only for s12.
     for g in w.letters:
-        if g == _S13:
+        if g.q - g.p == 2:
             eps ^= 1
-            continue
-        is_first_kind = g == _S12
-        if eps:
-            is_first_kind = not is_first_kind
-        m = _append_alt(m, is_first_kind)
+        else:
+            m = _append_alt(m, (g.p == 1) != bool(eps))
     return CanonicalForm(m, eps)
 
 
@@ -186,10 +184,17 @@ def affine_model(g: Generator) -> AffineMap:
 
 
 def evaluate_word(w: Word) -> AffineMap:
-    """Image of a degree-3 word in the affine model, leftmost letter first."""
+    """Image of a degree-3 word in the affine model, leftmost letter first.
+
+    Folds ``AffineMap.then`` over the letters' images in
+    ``_AFFINE_OF_GENERATOR`` as two ints, (sign, shift), and builds one
+    ``AffineMap`` at the end.  It reads nothing but that table, so it stays
+    independent of the (m, eps) arithmetic it audits.
+    """
     if w.degree != 3:
         raise DegreeMismatchError(f"affine model is degree-3 only, got degree {w.degree}")
-    acc = AFFINE_IDENTITY
+    sign, shift = 1, 0
     for g in w.letters:
-        acc = acc.then(_AFFINE_OF_GENERATOR[g])
-    return acc
+        a = _AFFINE_OF_GENERATOR[g]
+        sign, shift = sign * a.sign, a.sign * shift + a.shift
+    return AffineMap(sign, shift)

@@ -171,9 +171,11 @@ def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Iter
 @_sweep
 def check_shift_law(k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[str | None]:
     """Acting by the k-th pure power adds 3k to the alternating index."""
-    for k in k_range:
+    ks = list(k_range)
+    ms = list(m_range)
+    for k in ks:
         g = PureElement(k)
-        for m in m_range:
+        for m in ms:
             out = pure_action(g, CanonicalForm(m, 0))
             if out != CanonicalForm(m + 3 * k, 0):
                 yield f"FAIL k={k} m={m} got={out}"

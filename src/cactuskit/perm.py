@@ -2,6 +2,11 @@
 
 Composition is leftmost-first throughout: in a product the left factor acts
 on positions before the right factor does.
+
+``project`` builds no ``Permutation`` per letter.  It keeps the preimage
+array of the running product (the label at each position); a letter acts
+after the product so far, on positions, so it reverses one block of that
+array.  The array is inverted once at the end.
 """
 
 from __future__ import annotations
@@ -61,11 +66,21 @@ def interval_reversal(p: int, q: int, n: int) -> Permutation:
 
 
 def project(w: Word) -> Permutation:
-    """Image of a word under the projection onto permutations."""
-    acc = Permutation.identity(w.degree)
+    """Image of a word under the projection onto permutations.
+
+    ``pos[j - 1]`` is the label that the product so far sends to position j.
+    Following that product by s_{p,q} sends the label at position j to
+    position p + q - j, which reverses ``pos[p - 1:q]``.  The fold is therefore
+    ``Permutation.identity(n).then(interval_reversal(p, q, n))...`` over the
+    letters, at O(n) int work per letter and one ``Permutation`` per call.
+    """
+    pos = list(range(1, w.degree + 1))
     for g in w.letters:
-        acc = acc.then(interval_reversal(g.p, g.q, w.degree))
-    return acc
+        pos[g.p - 1 : g.q] = pos[g.p - 1 : g.q][::-1]
+    images = [0] * w.degree
+    for j, label in enumerate(pos, start=1):
+        images[label - 1] = j
+    return Permutation(tuple(images))
 
 
 def is_pure(w: Word) -> bool:

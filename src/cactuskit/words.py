@@ -114,15 +114,21 @@ _TOKEN = re.compile(r"s(\d+),(\d+)\Z")
 
 def parse_word(text: str, degree: int = 3) -> Word:
     """Parse whitespace-separated ``s<p>,<q>`` tokens; '' is the identity."""
+    # Each distinct token is matched and validated once per call.
+    interned: dict[str, Generator] = {}
     letters = []
     for i, token in enumerate(text.split()):
-        match = _TOKEN.match(token)
-        if match is None:
-            raise WordParseError(f"token {i}: {token!r} is not of the form s<p>,<q>")
-        try:
-            letters.append(Generator(int(match.group(1)), int(match.group(2)), degree))
-        except InvalidGeneratorError as exc:
-            raise WordParseError(f"token {i}: {exc}") from exc
+        g = interned.get(token)
+        if g is None:
+            match = _TOKEN.match(token)
+            if match is None:
+                raise WordParseError(f"token {i}: {token!r} is not of the form s<p>,<q>")
+            try:
+                g = Generator(int(match.group(1)), int(match.group(2)), degree)
+            except InvalidGeneratorError as exc:
+                raise WordParseError(f"token {i}: {exc}") from exc
+            interned[token] = g
+        letters.append(g)
     return Word(degree, tuple(letters))
 
 
@@ -149,8 +155,8 @@ class PresentationSpec:
     subset: frozenset[int] = "full"  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.degree < 2:
-            raise ValueError(f"degree must be at least 2, got {self.degree}")
+        if type(self.degree) is not int or self.degree < 2:
+            raise ValueError(f"degree must be an int of at least 2, got {self.degree!r}")
         subset = self.subset
         if subset == "full":
             subset = frozenset(range(2, self.degree + 1))

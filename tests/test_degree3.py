@@ -200,6 +200,20 @@ def test_canonicalize_equals_the_fold_of_letter_forms(w):
     assert canonicalize(to_word(c)) == c
 
 
+def test_evaluate_word_builds_one_affine_map(monkeypatch):
+    w = Word(3, tuple(all_generators(3)) * 3_000)
+    built = []
+    check = AffineMap.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(AffineMap, "__post_init__", counting)
+    assert evaluate_word(w) == AFFINE_IDENTITY
+    assert len(built) == 1
+
+
 def test_affine_map_validation_and_text():
     with pytest.raises(ValueError):
         AffineMap(2, 0)

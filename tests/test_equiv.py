@@ -163,6 +163,9 @@ def test_verify_action_axioms():
 def test_check_shift_law():
     report = check_shift_law(range(-5, 6), range(-12, 13))
     assert report.ok()
+    # One-shot iterables give every case too: 2 * 3 index cases, each with its length case.
+    assert check_shift_law(range(2), range(3)).total == 12
+    assert check_shift_law(iter(range(2)), iter(range(3))).total == 12
     for k in range(6):
         for m in range(13):
             out = pure_action(PureElement(k), CanonicalForm(m, 0))

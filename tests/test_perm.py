@@ -87,6 +87,25 @@ def test_project_equals_the_fold_of_interval_reversals(w):
     assert is_pure(w) == expected.is_identity()
 
 
+def test_project_and_is_pure_validate_one_permutation(monkeypatch):
+    gens = all_generators(4)
+    w = Word(4, tuple(gens[i % len(gens)] for i in range(10_000)))
+    expected = project_by_fold(w)
+    validated = []
+    check = Permutation.__post_init__
+
+    def counting(self):
+        validated.append(self)
+        check(self)
+
+    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    assert project(w) == expected
+    assert len(validated) == 1
+    validated.clear()
+    assert is_pure(w) == expected.is_identity()
+    assert len(validated) == 1
+
+
 @given(st.permutations(list(range(1, 7))))
 def test_inverse_and_composition(images):
     p = Permutation(tuple(images))

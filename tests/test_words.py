@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cactuskit.words as words
 from cactuskit.degree3 import canonicalize
 from cactuskit.perm import project
 from cactuskit.words import (
@@ -80,6 +81,24 @@ def test_parse_word_edge_cases():
     with pytest.raises(ValueError) as info:
         parse_word("", True)
     assert str(info.value) == "degree must be an int of at least 2, got True"
+
+
+def test_parse_word_builds_one_generator_per_distinct_token(monkeypatch):
+    class CountingGenerator(Generator):
+        built = 0
+
+        def __post_init__(self):
+            CountingGenerator.built += 1
+            super().__post_init__()
+
+    monkeypatch.setattr(words, "Generator", CountingGenerator)
+    w = parse_word(" ".join(("s1,2", "s2,3", "s1,3")[i % 3] for i in range(1_000)), 3)
+    assert len(w) == 1_000
+    assert CountingGenerator.built <= 3
+    # Nothing is built ahead of the tokens, however large the degree.
+    CountingGenerator.built = 0
+    assert len(parse_word("s1,2", 200_000)) == 1
+    assert CountingGenerator.built == 1
 
 
 def test_word_rejects_mixed_degrees():
@@ -188,8 +207,10 @@ def test_presentation_spec():
     ]
     with pytest.raises(ValueError):
         PresentationSpec(3, frozenset({4}))
-    with pytest.raises(ValueError):
-        PresentationSpec(1, "full")
+    for degree in (1, 3.0, True):
+        with pytest.raises(ValueError) as info:
+            PresentationSpec(degree, "full")
+        assert str(info.value) == f"degree must be an int of at least 2, got {degree!r}"
 
 
 def test_relation_instances_degree3():
