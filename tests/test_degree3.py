@@ -36,6 +36,14 @@ forms = st.builds(
     CanonicalForm, st.integers(min_value=-30, max_value=30), st.sampled_from((0, 1))
 )
 
+wide_forms = st.builds(
+    CanonicalForm, st.integers(min_value=-500, max_value=500), st.sampled_from((0, 1))
+)
+
+long_degree3_words = st.lists(st.sampled_from(all_generators(3)), max_size=300).map(
+    lambda letters: Word(3, tuple(letters))
+)
+
 
 def all_words_up_to(max_len):
     gens = all_generators(3)
@@ -218,6 +226,25 @@ def test_affine_map_validation_and_text():
     with pytest.raises(ValueError):
         AffineMap(2, 0)
     assert str(AffineMap(-1, 3)) == "(sign=-1, shift=3)"
+
+
+@given(wide_forms, wide_forms)
+def test_mul_agrees_with_the_oracle_at_large_indices(c1, c2):
+    product_word = concat(to_word(c1), to_word(c2))
+    assert evaluate_word(to_word(mul(c1, c2))) == evaluate_word(product_word)
+
+
+@given(wide_forms)
+def test_inv_agrees_with_the_oracle_at_large_indices(c):
+    a = evaluate_word(to_word(c))
+    b = evaluate_word(to_word(inv(c)))
+    assert a.then(b) == AFFINE_IDENTITY
+    assert b.then(a) == AFFINE_IDENTITY
+
+
+@given(long_degree3_words)
+def test_canonicalize_agrees_with_the_oracle_on_long_words(w):
+    assert evaluate_word(to_word(canonicalize(w))) == evaluate_word(w)
 
 
 def test_oracle_agreement_up_to_length_6():
