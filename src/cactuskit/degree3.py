@@ -16,6 +16,12 @@ Pushing an s13 leftward past the alternating part swaps s12 and s23
 (s13 s12 = s23 s13 and s13 s23 = s12 s13), which is what makes the
 single-trailing-s13 form reachable from any word.
 
+Alternating parts compose by one parity rule: index m1 followed by index m2
+has index m1 - m2 when m1 is odd and m1 + m2 when m1 is even.  An odd part
+is a reflection, so it reverses the part that follows it (s12 and s23 swap
+roles, which negates m2); an even part is a translation and leaves it as it
+is.
+
 An independent cross-check lives in ``AffineMap``: the degree-3 group is
 faithfully modeled by integer maps x -> sign*x + shift with s12: x -> -x,
 s13: x -> 1 - x, s23: x -> 2 - x.  The model is derived separately from the
@@ -56,16 +62,9 @@ _S23 = Generator(2, 3, 3)
 _S13 = Generator(1, 3, 3)
 
 
-def _append_alt(m: int, is_first_kind: bool) -> int:
-    """Index after appending s12 (is_first_kind) or s23 to the alternating part."""
-    if m == 0:
-        return 1 if is_first_kind else -1
-    # Last letter is s12 iff (m > 0 and m odd) or (m < 0 and |m| even).
-    last_is_first = (m % 2 == 1) if m > 0 else (m % 2 == 0)
-    step = 1 if m > 0 else -1
-    if is_first_kind == last_is_first:
-        return m - step
-    return m + step
+def _alt_concat(m1: int, m2: int) -> int:
+    """Index of the concatenation of two alternating parts (the parity rule)."""
+    return m1 - m2 if m1 % 2 else m1 + m2
 
 
 def canonicalize(w: Word) -> CanonicalForm:
@@ -79,7 +78,7 @@ def canonicalize(w: Word) -> CanonicalForm:
         if g.q - g.p == 2:
             eps ^= 1
         else:
-            m = _append_alt(m, (g.p == 1) != bool(eps))
+            m = _alt_concat(m, 1 if (g.p == 1) != bool(eps) else -1)
     return CanonicalForm(m, eps)
 
 
@@ -97,30 +96,12 @@ def to_word(c: CanonicalForm) -> Word:
     return Word(3, tuple(letters))
 
 
-def _alt_to_affine(m: int) -> tuple[int, int]:
-    """(sign, shift) of the alternating word with index m."""
-    if m % 2 == 0:
-        return 1, m
-    return -1, 1 - m
-
-
-def _affine_to_alt(sign: int, shift: int) -> int:
-    if sign == 1:
-        return shift
-    return 1 - shift
-
-
-def _alt_concat(m1: int, m2: int) -> int:
-    """Index of the concatenation of two alternating parts."""
-    s1, t1 = _alt_to_affine(m1)
-    s2, t2 = _alt_to_affine(m2)
-    return _affine_to_alt(s1 * s2, s2 * t1 + t2)
-
-
 def mul(c1: CanonicalForm, c2: CanonicalForm) -> CanonicalForm:
     """Product in coordinates; equals canonicalize(to_word(c1) to_word(c2))."""
     # A trailing s13 on c1 conjugates c2's alternating part (s12 <-> s23
     # swap, i.e. index negation) while the s13 itself moves to the tail.
+    # The alternating parts then compose by the parity rule: an odd c1.m is a
+    # reflection and reverses m2, an even one is a translation and keeps it.
     m2 = -c2.m if c1.eps else c2.m
     return CanonicalForm(_alt_concat(c1.m, m2), c1.eps ^ c2.eps)
 
