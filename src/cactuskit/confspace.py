@@ -61,7 +61,7 @@ def _check_arrangement(seq: tuple[int, ...]) -> None:
     n = len(seq)
     if n < 3:
         raise ValueError(f"need at least 3 labels, got {n}")
-    if set(seq) != set(range(1, n + 1)):
+    if any(type(x) is not int for x in seq) or set(seq) != set(range(1, n + 1)):
         raise ValueError(f"{seq} is not an arrangement of 1..{n}")
 
 
@@ -153,6 +153,10 @@ class DeckElement:
     """The j-th power of the deck generator; shifts winding indices by j."""
 
     j: int
+
+    def __post_init__(self) -> None:
+        if type(self.j) is not int:
+            raise ValueError(f"deck power must be an int, got {self.j!r}")
 
     def then(self, other: DeckElement) -> DeckElement:
         return DeckElement(self.j + other.j)

@@ -134,8 +134,10 @@ class AffineMap:
     shift: int
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +-1, got {self.sign}")
+        if type(self.sign) is not int or self.sign not in (-1, 1):
+            raise ValueError(f"sign must be +-1, got {self.sign!r}")
+        if type(self.shift) is not int:
+            raise ValueError(f"shift must be an int, got {self.shift!r}")
 
     def __call__(self, x: int) -> int:
         return self.sign * x + self.shift

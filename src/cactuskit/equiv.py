@@ -45,6 +45,10 @@ class PureElement:
 
     k: int
 
+    def __post_init__(self) -> None:
+        if type(self.k) is not int:
+            raise ValueError(f"pure power must be an int, got {self.k!r}")
+
     @classmethod
     def from_canonical(cls, c: CanonicalForm) -> PureElement:
         if c.m % 3 != 0 or c != pure_element(c.m // 3):

@@ -24,7 +24,9 @@ class Permutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+        if any(type(v) is not int for v in self.images) or sorted(self.images) != list(
+            range(1, len(self.images) + 1)
+        ):
             raise ValueError(f"{self.images} is not a permutation of 1..{len(self.images)}")
 
     @classmethod

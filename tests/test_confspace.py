@@ -32,6 +32,11 @@ def test_canonical_chamber_validation():
         canonical_chamber((1, 2))
     with pytest.raises(ValueError):
         enumerate_chambers(2)
+    for seq in ((True, 2, 3), (1, 2, 3.0), (1.0, 2, 3), ("1", 2, 3)):
+        with pytest.raises(ValueError, match="is not an arrangement of 1..3"):
+            canonical_chamber(seq)
+        with pytest.raises(ValueError, match="is not an arrangement of 1..3"):
+            Chamber(seq)
 
 
 def test_chamber_accepts_only_canonical_representatives():
@@ -130,6 +135,12 @@ def test_deck_action_examples():
     assert deck_act(DeckElement(0), v) == v
     assert deck_act(DeckElement(2), v) == CoverVertex("123", 2)
     assert deck_act(DeckElement(1), deck_act(DeckElement(-1), v)) == v
+
+
+def test_deck_element_validation():
+    for j in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match=f"deck power must be an int, got {j!r}"):
+            DeckElement(j)
 
 
 @given(

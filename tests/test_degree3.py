@@ -225,6 +225,12 @@ def test_evaluate_word_builds_one_affine_map(monkeypatch):
 def test_affine_map_validation_and_text():
     with pytest.raises(ValueError):
         AffineMap(2, 0)
+    for sign in (True, 1.0, -1.0, "1"):
+        with pytest.raises(ValueError, match=f"sign must be \\+-1, got {sign!r}"):
+            AffineMap(sign, 0)
+    for shift in (0.5, 1.0, True, "0"):
+        with pytest.raises(ValueError, match=f"shift must be an int, got {shift!r}"):
+            AffineMap(1, shift)
     assert str(AffineMap(-1, 3)) == "(sign=-1, shift=3)"
 
 

@@ -46,6 +46,12 @@ def test_pure_element_round_trip():
         assert PureElement.from_canonical(PureElement(k).to_canonical()) == PureElement(k)
 
 
+def test_pure_element_validation():
+    for k in (1.5, 1.0, True, "1"):
+        with pytest.raises(ValueError, match=f"pure power must be an int, got {k!r}"):
+            PureElement(k)
+
+
 def test_pure_action_examples():
     assert pure_action(PureElement(0), CanonicalForm(7, 0)) == CanonicalForm(7, 0)
     assert pure_action(PureElement(1), IDENTITY) == CanonicalForm(3, 0)

@@ -19,6 +19,12 @@ def test_interval_reversal_examples():
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1, 3))
+    for images in ((1.0, 2.0), (True, 2), (2.0, 1.0), (1, "2")):
+        with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.2"):
+            Permutation(images)
+    with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3"):
+        interval_reversal(1.0, 2, 3)
+    assert Permutation(()).is_identity()
     assert str(Permutation((2, 3, 1))) == "[2,3,1]"
 
 
