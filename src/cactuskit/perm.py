@@ -24,10 +24,10 @@ class Permutation:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "images", tuple(self.images))
-        if any(type(v) is not int for v in self.images) or sorted(self.images) != list(
-            range(1, len(self.images) + 1)
-        ):
-            raise ValueError(f"{self.images} is not a permutation of 1..{len(self.images)}")
+        n = len(self.images)
+        ints = all(type(v) is int for v in self.images)
+        if not ints or sorted(self.images) != list(range(1, n + 1)):
+            raise ValueError(f"{self.images} is not a permutation of 1..{n}")
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
