@@ -134,10 +134,18 @@ def test_free_reduce_idempotent(w):
 def test_apply_commute():
     assert apply_commute(w4("s1,2 s3,4"), 0) == w4("s3,4 s1,2")
     assert apply_commute(w4("s3,4 s1,2"), 0) == w4("s1,2 s3,4")
-    with pytest.raises(MoveNotApplicableError):
-        apply_commute(w4("s1,2 s2,3"), 0)
-    with pytest.raises(MoveNotApplicableError):
-        apply_commute(w4("s1,2"), 0)
+    failures = [
+        (w4("s1,2 s2,3"), 0, "s1,2 and s2,3 do not commute: intervals overlap"),
+        (w4("s1,2 s1,2"), 0, "s1,2 and s1,2 do not commute: intervals overlap"),
+        (w4("s1,3 s2,3"), 0, "s1,3 and s2,3 do not commute: intervals overlap"),
+        (w4("s1,2"), 0, "no adjacent pair at position 0"),
+        (w4("s1,2 s3,4"), 1, "no adjacent pair at position 1"),
+        (w4("s1,2 s3,4"), -1, "no adjacent pair at position -1"),
+    ]
+    for w, i, message in failures:
+        with pytest.raises(MoveNotApplicableError) as info:
+            apply_commute(w, i)
+        assert str(info.value) == message
 
 
 def test_apply_commute_is_involutive():
@@ -149,11 +157,66 @@ def test_apply_nesting():
     assert apply_nesting(w3("s1,3 s1,2"), 0, "left-to-right") == w3("s2,3 s1,3")
     assert apply_nesting(w3("s1,3 s2,3"), 0, "left-to-right") == w3("s1,2 s1,3")
     assert apply_nesting(w3("s2,3 s1,3"), 0, "right-to-left") == w3("s1,3 s1,2")
-    with pytest.raises(MoveNotApplicableError):
-        apply_nesting(w3("s1,2 s2,3"), 0, "left-to-right")
-    with pytest.raises(MoveNotApplicableError):
+    assert apply_nesting(w4("s1,2 s1,4 s2,3"), 1, "left-to-right") == w4("s1,2 s2,3 s1,4")
+    assert apply_nesting(w4("s2,3 s1,4"), 0, "right-to-left") == w4("s1,4 s2,3")
+    failures = [
+        (w3("s1,2 s2,3"), 0, "left-to-right", "interval of s2,3 is not strictly inside s1,2"),
         # Equal intervals are not a nesting instance.
-        apply_nesting(w3("s1,3 s1,3"), 0, "left-to-right")
+        (w3("s1,3 s1,3"), 0, "left-to-right", "interval of s1,3 is not strictly inside s1,3"),
+        (w3("s1,3 s1,3"), 0, "right-to-left", "interval of s1,3 is not strictly inside s1,3"),
+        (w3("s1,3 s1,2"), 0, "right-to-left", "interval of s1,3 is not strictly inside s1,2"),
+        (w3("s1,2 s1,3"), 0, "left-to-right", "interval of s1,3 is not strictly inside s1,2"),
+        (w3("s1,3"), 0, "left-to-right", "no adjacent pair at position 0"),
+        # The position is checked before the direction.
+        (w3("s1,3"), 0, "sideways", "no adjacent pair at position 0"),
+    ]
+    for w, i, direction, message in failures:
+        with pytest.raises(MoveNotApplicableError) as info:
+            apply_nesting(w, i, direction)
+        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        apply_nesting(w3("s1,3 s1,2"), 0, "sideways")
+    assert type(info.value) is ValueError
+    assert str(info.value) == "unknown direction 'sideways'"
+
+
+def _generator_pairs(n):
+    return [(p, q) for p in range(1, n) for q in range(p + 1, n + 1)]
+
+
+def _reference_neighbors(pairs, n, max_length):
+    """Words one move away, read off the three relation families over (p, q)."""
+    found = set()
+    if len(pairs) + 2 <= max_length:
+        for g in _generator_pairs(n):
+            for i in range(len(pairs) + 1):
+                found.add(pairs[:i] + (g, g) + pairs[i:])
+    for i in range(len(pairs) - 1):
+        head, (p, q), (m, r), tail = pairs[:i], pairs[i], pairs[i + 1], pairs[i + 2 :]
+        if (p, q) == (m, r):
+            found.add(head + tail)
+        elif q < m or r < p:
+            found.add(head + ((m, r), (p, q)) + tail)
+        elif p <= m and r <= q:
+            found.add(head + ((p + q - r, p + q - m), (p, q)) + tail)
+        elif m <= p and q <= r:
+            found.add(head + ((m, r), (m + r - q, m + r - p)) + tail)
+    return found
+
+
+@st.composite
+def degree_and_pairs(draw, degrees=(3, 4, 5, 6), max_size=7):
+    n = draw(st.sampled_from(degrees))
+    pairs = draw(st.lists(st.sampled_from(_generator_pairs(n)), max_size=max_size))
+    return n, tuple(pairs)
+
+
+@settings(deadline=None, max_examples=200)
+@given(degree_and_pairs(), st.integers(0, 10))
+def test_neighbors_equal_the_relation_families(word, max_length):
+    n, pairs = word
+    expected = {Word.from_pairs(n, nb) for nb in _reference_neighbors(pairs, n, max_length)}
+    assert neighbors(Word.from_pairs(n, pairs), max_length) == expected
 
 
 def test_neighbors_of_empty_word():
@@ -174,6 +237,28 @@ def test_equal_by_search():
     assert equal_by_search(w3("s1,2"), w3("s2,3"), node_budget=50) == "unknown"
     with pytest.raises(DegreeMismatchError):
         equal_by_search(w3("s1,2"), w4("s1,2"))
+
+
+@st.composite
+def search_queries(draw):
+    """Two words a few reference moves apart, or two unrelated words."""
+    n, start = draw(degree_and_pairs(degrees=(3, 4), max_size=5))
+    end = start
+    for _ in range(draw(st.integers(0, 3))):
+        end = draw(st.sampled_from(sorted(_reference_neighbors(end, n, len(end) + 2))))
+    if draw(st.booleans()):
+        end = draw(degree_and_pairs(degrees=(n,), max_size=5))[1]
+    return Word.from_pairs(n, start), Word.from_pairs(n, end)
+
+
+@settings(deadline=None, max_examples=60)
+@given(search_queries())
+def test_search_equal_is_sound(query):
+    w1, w2 = query
+    if equal_by_search(w1, w2, node_budget=100) == "equal":
+        if w1.degree == 3:
+            assert canonicalize(w1) == canonicalize(w2)
+        assert project(w1) == project(w2)
 
 
 def test_search_moves_never_change_the_element():
@@ -211,6 +296,24 @@ def test_presentation_spec():
         with pytest.raises(ValueError) as info:
             PresentationSpec(degree, "full")
         assert str(info.value) == f"degree must be an int of at least 2, got {degree!r}"
+
+
+def test_relation_instances_equal_the_relation_families():
+    for n in range(3, 7):
+        gens = _generator_pairs(n)
+        expected = [("involution", (g, g), ()) for g in gens]
+        for p, q in gens:
+            for m, r in gens:
+                if q < m or r < p:
+                    expected.append(("commute", ((p, q), (m, r)), ((m, r), (p, q))))
+                elif p <= m and r <= q and (p, q) != (m, r):
+                    expected.append(
+                        ("nesting", ((p, q), (m, r)), ((p + q - r, p + q - m), (p, q)))
+                    )
+        assert list(relation_instances(n)) == [
+            (family, Word.from_pairs(n, lhs), Word.from_pairs(n, rhs))
+            for family, lhs, rhs in expected
+        ]
 
 
 def test_relation_instances_degree3():
