@@ -92,6 +92,19 @@ def test_adjacency_is_symmetric_for_five_points():
             assert chamber_adjacent(a, b) == chamber_adjacent(b, a)
 
 
+def test_adjacency_equals_some_neighbour_swap():
+    for n in (5, 6):
+        chambers = enumerate_chambers(n)
+        for a in chambers:
+            swaps = set()
+            for i in range(n):
+                seq = list(a.order)
+                seq[i], seq[i - 1] = seq[i - 1], seq[i]
+                swaps.add(_lex_min_dihedral_image(tuple(seq)))
+            for b in chambers:
+                assert chamber_adjacent(a, b) == (a != b and b.order in swaps)
+
+
 def test_adjacency_rejects_mixed_degrees():
     with pytest.raises(DegreeMismatchError):
         chamber_adjacent(enumerate_chambers(4)[0], enumerate_chambers(5)[0])

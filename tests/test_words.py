@@ -129,6 +129,13 @@ def test_free_reduce_idempotent(w):
     assert free_reduce(once) == once
     for a, b in zip(once.letters, once.letters[1:]):
         assert a != b
+    stack = []
+    for g in w.letters:
+        if stack and stack[-1] == g:
+            stack.pop()
+        else:
+            stack.append(g)
+    assert once.letters == tuple(stack)
 
 
 def test_apply_commute():
