@@ -65,14 +65,19 @@ def _check_arrangement(seq: tuple[int, ...]) -> None:
         raise ValueError(f"{seq} is not an arrangement of 1..{n}")
 
 
+def _canonical_order(seq: tuple[int, ...]) -> tuple[int, ...]:
+    """Lex-min rotation or reflection of an arrangement already checked."""
+    seq = _rotate_to_front(seq, 1)
+    if seq[1] > seq[-1]:
+        seq = (1, *reversed(seq[1:]))
+    return seq
+
+
 def canonical_chamber(seq) -> Chamber:
     """Chamber of a label sequence; representative is the lex-min dihedral image."""
     seq = tuple(seq)
     _check_arrangement(seq)
-    seq = _rotate_to_front(seq, 1)
-    if seq[1] > seq[-1]:
-        seq = (1, *reversed(seq[1:]))
-    return Chamber(seq)
+    return Chamber(_canonical_order(seq))
 
 
 def enumerate_chambers(n: int) -> tuple[Chamber, ...]:
@@ -100,7 +105,8 @@ def chamber_adjacent(c1: Chamber, c2: Chamber) -> bool:
         j = (i + 1) % n
         swapped = list(seq)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        if canonical_chamber(swapped) == c2:
+        # c1 is a valid chamber, so each swap is an arrangement of 1..n.
+        if _canonical_order(tuple(swapped)) == c2.order:
             return True
     return False
 

@@ -11,7 +11,8 @@ reverses the index interval [p, q].  Three relation families hold:
   passing it).
 
 This module holds the word container, single-step moves for each relation,
-and a breadth-first search oracle over those moves.  The search answers only
+and a breadth-first search oracle over those moves; the relation patterns
+live in one move table over ``(p, q)`` pairs.  The search answers only
 "equal" or "unknown": it never claims two words are distinct.  Exact equality
 is available at degree 3 through the canonical form in ``degree3``.
 """
@@ -58,20 +59,6 @@ class Generator:
 
     def __str__(self) -> str:
         return f"s{self.p},{self.q}"
-
-    def disjoint_from(self, other: Generator) -> bool:
-        return self.q < other.p or other.q < self.p
-
-    def strictly_contains(self, other: Generator) -> bool:
-        if (self.p, self.q) == (other.p, other.q):
-            # Equal intervals make the nesting relation vacuous; not a move.
-            return False
-        return self.p <= other.p and other.q <= self.q
-
-    def reflected_through(self, outer: Generator) -> Generator:
-        """Image of this generator under reflection of [outer.p, outer.q]."""
-        s = outer.p + outer.q
-        return Generator(s - self.q, s - self.p, self.n)
 
 
 def all_generators(n: int) -> list[Generator]:
@@ -175,29 +162,59 @@ def free_reduce(w: Word) -> Word:
     """Cancel adjacent equal letters until none remain."""
     out: list[Generator] = []
     for g in w.letters:
-        if out and out[-1] == g:
+        if out and out[-1].p == g.p and out[-1].q == g.q:
             out.pop()
         else:
             out.append(g)
     return Word(w.degree, tuple(out))
 
 
-def _adjacent_pair(w: Word, i: int) -> tuple[Generator, Generator]:
+def _moves(a: tuple[int, int], b: tuple[int, int]) -> Iterator[tuple[str, tuple]]:
+    """Each move (``cancel``, ``commute``, ``left-to-right`` or ``right-to-left``
+    nesting) that rewrites the adjacent letters a b, with their replacement."""
+    (p, q), (m, r) = a, b
+    if a == b:
+        yield "cancel", ()
+    elif q < m or r < p:
+        yield "commute", (b, a)
+    elif p <= m and r <= q:
+        yield "left-to-right", ((p + q - r, p + q - m), a)
+    elif m <= p and q <= r:
+        yield "right-to-left", (b, (m + r - q, m + r - p))
+
+
+def _pairs(letters: Iterable[Generator]) -> tuple[tuple[int, int], ...]:
+    return tuple((g.p, g.q) for g in letters)
+
+
+def _rewrites(letters: tuple, squares: list[tuple], max_length: int) -> Iterator[tuple]:
+    """Every word one relation move away from ``letters``, possibly repeated;
+    ``squares`` holds one ``(g, g)`` per generator, shared by every insertion."""
+    for i in range(len(letters) - 1):
+        for _, replacement in _moves(letters[i], letters[i + 1]):
+            yield letters[:i] + replacement + letters[i + 2 :]
+    if len(letters) + 2 <= max_length:
+        for square in squares:
+            for i in range(len(letters) + 1):
+                yield letters[:i] + square + letters[i:]
+
+
+def _rewrite(w: Word, i: int, move: str, mismatch: str | None) -> Word:
+    """Apply the named move at i, i+1; a None ``mismatch`` is an unknown direction."""
     if not 0 <= i <= len(w.letters) - 2:
         raise MoveNotApplicableError(f"no adjacent pair at position {i}")
-    return w.letters[i], w.letters[i + 1]
-
-
-def _replace_pair(w: Word, i: int, pair: tuple[Generator, Generator]) -> Word:
-    return Word(w.degree, w.letters[:i] + pair + w.letters[i + 2 :])
+    if mismatch is None:
+        raise ValueError(f"unknown direction {move!r}")
+    letters = _pairs(w)
+    for name, replacement in _moves(letters[i], letters[i + 1]):
+        if name == move:
+            return Word.from_pairs(w.degree, letters[:i] + replacement + letters[i + 2 :])
+    raise MoveNotApplicableError(mismatch.format(a=w.letters[i], b=w.letters[i + 1]))
 
 
 def apply_commute(w: Word, i: int) -> Word:
     """Swap the letters at positions i, i+1 when their intervals are disjoint."""
-    a, b = _adjacent_pair(w, i)
-    if not a.disjoint_from(b):
-        raise MoveNotApplicableError(f"{a} and {b} do not commute: intervals overlap")
-    return _replace_pair(w, i, (b, a))
+    return _rewrite(w, i, "commute", "{a} and {b} do not commute: intervals overlap")
 
 
 Direction = Literal["left-to-right", "right-to-left"]
@@ -209,16 +226,11 @@ def apply_nesting(w: Word, i: int, direction: Direction) -> Word:
     left-to-right expects (outer, inner) and yields (reflected inner, outer);
     right-to-left is its inverse and expects (inner', outer).
     """
-    a, b = _adjacent_pair(w, i)
-    if direction == "left-to-right":
-        if not a.strictly_contains(b):
-            raise MoveNotApplicableError(f"interval of {b} is not strictly inside {a}")
-        return _replace_pair(w, i, (b.reflected_through(a), a))
-    if direction == "right-to-left":
-        if not b.strictly_contains(a):
-            raise MoveNotApplicableError(f"interval of {a} is not strictly inside {b}")
-        return _replace_pair(w, i, (b, a.reflected_through(b)))
-    raise ValueError(f"unknown direction {direction!r}")
+    mismatch = {
+        "left-to-right": "interval of {b} is not strictly inside {a}",
+        "right-to-left": "interval of {a} is not strictly inside {b}",
+    }.get(direction)
+    return _rewrite(w, i, direction, mismatch)
 
 
 def neighbors(w: Word, max_length: int) -> set[Word]:
@@ -227,26 +239,9 @@ def neighbors(w: Word, max_length: int) -> set[Word]:
     Pair insertions are included only while the result stays within
     ``max_length``; every other move can only shrink or rearrange.
     """
-    found: set[Word] = set()
-    letters = w.letters
-    n_letters = len(letters)
-    for i in range(n_letters - 1):
-        if letters[i] == letters[i + 1]:
-            found.add(Word(w.degree, letters[:i] + letters[i + 2 :]))
-    if n_letters + 2 <= max_length:
-        for g in all_generators(w.degree):
-            pair = (g, g)
-            for i in range(n_letters + 1):
-                found.add(Word(w.degree, letters[:i] + pair + letters[i:]))
-    for i in range(n_letters - 1):
-        a, b = letters[i], letters[i + 1]
-        if a.disjoint_from(b):
-            found.add(_replace_pair(w, i, (b, a)))
-        elif a.strictly_contains(b):
-            found.add(_replace_pair(w, i, (b.reflected_through(a), a)))
-        elif b.strictly_contains(a):
-            found.add(_replace_pair(w, i, (b, a.reflected_through(b))))
-    return found
+    squares = [(g, g) for g in _pairs(all_generators(w.degree))]
+    found = set(_rewrites(_pairs(w), squares, max_length))
+    return {Word.from_pairs(w.degree, letters) for letters in found}
 
 
 def equal_by_search(
@@ -264,15 +259,17 @@ def equal_by_search(
         raise DegreeMismatchError("cannot compare words of different degrees")
     if length_cap is None:
         length_cap = max(len(w1), len(w2)) + 4
-    if w1 == w2:
+    start, goal = _pairs(w1), _pairs(w2)
+    if start == goal:
         return "equal"
-    seen = {w1}
-    frontier = deque([w1])
+    squares = [(g, g) for g in _pairs(all_generators(w1.degree))]
+    seen = {start}
+    frontier = deque([start])
     expanded = 0
     while frontier and expanded < node_budget:
         expanded += 1
-        for nb in neighbors(frontier.popleft(), length_cap):
-            if nb == w2:
+        for nb in _rewrites(frontier.popleft(), squares, length_cap):
+            if nb == goal:
                 return "equal"
             if nb not in seen:
                 seen.add(nb)
@@ -285,9 +282,9 @@ def relation_instances(n: int) -> Iterator[tuple[str, Word, Word]]:
     gens = all_generators(n)
     for g in gens:
         yield "involution", Word(n, (g, g)), Word(n)
+    family = {"commute": "commute", "left-to-right": "nesting"}
     for a in gens:
         for b in gens:
-            if a.disjoint_from(b):
-                yield "commute", Word(n, (a, b)), Word(n, (b, a))
-            elif a.strictly_contains(b):
-                yield "nesting", Word(n, (a, b)), Word(n, (b.reflected_through(a), a))
+            for move, replacement in _moves((a.p, a.q), (b.p, b.q)):
+                if move in family:
+                    yield family[move], Word(n, (a, b)), Word.from_pairs(n, replacement)
