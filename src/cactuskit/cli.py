@@ -31,6 +31,16 @@ from .words import Word, WordParseError, free_reduce, parse_word
 # and the oracle suite visits all 3^L words of each length L up to --radius.
 _MAX_CHAMBER_LABELS = 10
 _MAX_ORACLE_RADIUS = 12
+# Caps on inputs whose cost is linear but unbounded: a word's --n sizes an
+# O(n) array, and the Cayley and cover windows are built before printing.
+_MAX_WORD_DEGREE = 1_000
+_MAX_CAYLEY_RADIUS = 5_000
+_MAX_COVER_RADIUS = 100_000
+
+
+def _at_most(flag: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{flag} {value} is above the limit of {limit}")
 
 
 def _span(lo: int | None, hi: int | None, default_lo: int, default_hi: int, name: str) -> range:
@@ -42,6 +52,7 @@ def _span(lo: int | None, hi: int | None, default_lo: int, default_hi: int, name
 
 
 def _read_word(args: argparse.Namespace) -> Word:
+    _at_most("--n", args.n, _MAX_WORD_DEGREE)
     if args.stdin:
         text = sys.stdin.read()
     elif args.word is not None:
@@ -74,6 +85,7 @@ def _cmd_pure(args: argparse.Namespace) -> int:
 
 
 def _cmd_cayley(args: argparse.Namespace) -> int:
+    _at_most("--radius", args.radius, _MAX_CAYLEY_RADIUS)
     graph = build_window(args.group, args.radius)
     text = export_dot(graph) if args.format == "dot" else export_json(graph)
     if args.out is None:
@@ -84,14 +96,14 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
 
 
 def _cmd_chambers(args: argparse.Namespace) -> int:
-    if args.n > _MAX_CHAMBER_LABELS:
-        raise ValueError(f"--n {args.n} is above the limit of {_MAX_CHAMBER_LABELS}")
+    _at_most("--n", args.n, _MAX_CHAMBER_LABELS)
     for chamber in enumerate_chambers(args.n):
         print(chamber)
     return 0
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
+    _at_most("--radius", args.radius, _MAX_COVER_RADIUS)
     for v in cover_window(args.radius):
         print(v)
     return 0

@@ -139,6 +139,24 @@ def test_chambers_refuses_too_many_labels(capsys):
         assert err.startswith("error: ") and "limit of 10" in err
 
 
+def test_linear_inputs_are_capped(capsys, monkeypatch):
+    refused = [
+        (("normalize", "--n", "1001", "s1,2"), "--n 1001 is above the limit of 1000"),
+        (("project", "--n", "1001", "s1,2"), "--n 1001 is above the limit of 1000"),
+        (("pure", "--n", "2000000", "s1,2"), "--n 2000000 is above the limit of 1000"),
+        (("pure", "--n", "1001", "--stdin"), "--n 1001 is above the limit of 1000"),
+        (("cayley", "--radius", "5001"), "--radius 5001 is above the limit of 5000"),
+        (("cayley", "--radius", "1000000", "--format", "json"),
+         "--radius 1000000 is above the limit of 5000"),
+        (("cover", "--radius", "100001"), "--radius 100001 is above the limit of 100000"),
+    ]
+    for argv, message in refused:
+        monkeypatch.setattr(sys, "stdin", io.StringIO("s1,2"))
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli(capsys, "project", "--n", "1000", "s1,2")
+    assert (code, out) == (0, "[2,1," + ",".join(map(str, range(3, 1001))) + "]\n")
+
+
 def test_cover_listing(capsys):
     code, out, _ = run_cli(capsys, "cover", "--radius", "0")
     assert code == 0
@@ -230,13 +248,13 @@ _word = st.lists(
 _argv = st.one_of(
     st.tuples(
         st.sampled_from(["normalize", "project", "pure"]),
-        _any_of(_word, st.just("--stdin"), _flag("--n", _small)),
+        _any_of(_word, st.just("--stdin"), _flag("--n", st.one_of(_small, st.just("1001")))),
     ),
     st.tuples(
         st.just("cayley"),
         _any_of(
             _flag("--group", st.sampled_from(["J3", "J3_2", "J4"])),
-            _flag("--radius", st.integers(-1, 4).map(str)),
+            _flag("--radius", st.one_of(st.integers(-1, 4).map(str), st.just("5001"))),
             _flag("--format", st.sampled_from(["dot", "json", "svg"])),
         ),
     ),
@@ -244,7 +262,7 @@ _argv = st.one_of(
         st.just("chambers"),
         _any_of(_flag("--n", st.sampled_from(["-1", "0", "2", "3", "4", "6", "11", "12", "x"]))),
     ),
-    st.tuples(st.just("cover"), _any_of(_flag("--radius", _small))),
+    st.tuples(st.just("cover"), _any_of(_flag("--radius", st.one_of(_small, st.just("100001"))))),
     # Range flags are always given: each default window takes up to a second.
     st.tuples(
         st.just("verify"),
