@@ -35,6 +35,9 @@ from .degree3 import (
 from .words import Word, all_generators, relation_instances
 
 
+_S13 = CanonicalForm(0, 1)
+
+
 class OutsideSubgroupError(ValueError):
     """Operand outside the subgroup the operation is defined on."""
 
@@ -48,6 +51,8 @@ class PureElement:
     def __post_init__(self) -> None:
         if type(self.k) is not int:
             raise ValueError(f"pure power must be an int, got {self.k!r}")
+        # Built once: the sweeps act by one element on many forms.
+        object.__setattr__(self, "_form", pure_element(self.k))
 
     @classmethod
     def from_canonical(cls, c: CanonicalForm) -> PureElement:
@@ -56,7 +61,7 @@ class PureElement:
         return cls(c.m // 3)
 
     def to_canonical(self) -> CanonicalForm:
-        return pure_element(self.k)
+        return self._form
 
     def then(self, other: PureElement) -> PureElement:
         return PureElement(self.k + other.k)
@@ -68,7 +73,7 @@ def pure_action(g: PureElement, h: CanonicalForm) -> CanonicalForm:
         raise OutsideSubgroupError(f"{h} has a trailing s13; the action is not defined there")
     out = mul(g.to_canonical(), h)
     if out.eps:
-        out = mul(out, CanonicalForm(0, 1))
+        out = mul(out, _S13)
     return out
 
 

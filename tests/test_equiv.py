@@ -44,6 +44,8 @@ def test_pure_element_round_trip():
             PureElement.from_canonical(bad)
     for k in range(-12, 13):
         assert PureElement.from_canonical(PureElement(k).to_canonical()) == PureElement(k)
+        assert PureElement(k).to_canonical() == pure_element(k)
+    assert repr(PureElement(2)) == "PureElement(k=2)"
 
 
 def test_pure_element_validation():
