@@ -170,8 +170,9 @@ def free_reduce(w: Word) -> Word:
 
 
 def _moves(a: tuple[int, int], b: tuple[int, int]) -> Iterator[tuple[str, tuple]]:
-    """Each move (``cancel``, ``commute``, ``left-to-right`` or ``right-to-left``
-    nesting) that rewrites the adjacent letters a b, with their replacement."""
+    """The move table: each move (``cancel``, ``commute``, ``left-to-right`` or
+    ``right-to-left`` nesting) that rewrites the adjacent letters a b, given as
+    (p, q) pairs, with its replacement."""
     (p, q), (m, r) = a, b
     if a == b:
         yield "cancel", ()
