@@ -9,6 +9,7 @@ to one undirected edge, stored with endpoints in sorted order.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .degree3 import CanonicalForm, canonicalize, mul
@@ -17,9 +18,13 @@ from .words import Generator, PresentationSpec, Word
 GROUP_FULL = "J3"
 GROUP_DIHEDRAL = "J3_2"
 
+# Each group's generators with their one-letter canonical forms.
 _GENERATORS = {
-    GROUP_FULL: PresentationSpec(3, "full").generators(),
-    GROUP_DIHEDRAL: PresentationSpec(3, frozenset({2})).generators(),
+    group: [(g, canonicalize(Word(3, (g,)))) for g in spec.generators()]
+    for group, spec in (
+        (GROUP_FULL, PresentationSpec(3, "full")),
+        (GROUP_DIHEDRAL, PresentationSpec(3, frozenset({2}))),
+    )
 }
 
 Edge = tuple[CanonicalForm, CanonicalForm, Generator]
@@ -29,11 +34,19 @@ Edge = tuple[CanonicalForm, CanonicalForm, Generator]
 class CayleyGraph:
     group: str
     radius: int
-    vertices: tuple[CanonicalForm, ...]
+    vertices: tuple[CanonicalForm, ...]  # in sorted order
     edges: tuple[Edge, ...]
 
     def degree_of(self, v: CanonicalForm) -> int:
-        return sum(v in (src, dst) for src, dst, _ in self.edges)
+        """Number of edges at v: one per generator whose product with v stays
+        in the window (every generator is an involution), 0 off the window."""
+        if not self._has(v):
+            return 0
+        return sum(self._has(mul(v, gf)) for _, gf in _GENERATORS[self.group])
+
+    def _has(self, v: CanonicalForm) -> bool:
+        i = bisect_left(self.vertices, v)
+        return i < len(self.vertices) and self.vertices[i] == v
 
 
 def _window_vertices(group: str, radius: int) -> list[CanonicalForm]:
@@ -51,10 +64,9 @@ def build_window(group: str, radius: int) -> CayleyGraph:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     vertices = _window_vertices(group, radius)
     in_window = set(vertices)
-    gen_forms = [(g, canonicalize(Word(3, (g,)))) for g in _GENERATORS[group]]
     edges = []
     for v in vertices:
-        for g, gf in gen_forms:
+        for g, gf in _GENERATORS[group]:
             w = mul(v, gf)
             if w in in_window and v < w:
                 edges.append((v, w, g))

@@ -28,9 +28,11 @@ from .words import Word, WordParseError, free_reduce, parse_word
 
 
 # Caps on inputs whose cost explodes: `chambers` walks (n-1)! permutations,
-# and the oracle suite visits all 3^L words of each length L up to --radius.
+# the oracle suite visits all 3^L words of each length L up to --radius, and
+# the other verify suites' case counts are products of their range spans.
 _MAX_CHAMBER_LABELS = 10
 _MAX_ORACLE_RADIUS = 12
+_MAX_VERIFY_CASES = 1_000_000
 # Caps on inputs whose cost is linear but unbounded: a word's --n sizes an
 # O(n) array, and the Cayley and cover windows are built before printing.
 _MAX_WORD_DEGREE = 1_000
@@ -49,6 +51,11 @@ def _span(lo: int | None, hi: int | None, default_lo: int, default_hi: int, name
     if lo > hi:
         raise ValueError(f"empty {name} range [{lo}, {hi}]")
     return range(lo, hi + 1)
+
+
+def _size(r: range) -> int:
+    # len() raises OverflowError on a range longer than sys.maxsize.
+    return max(0, r.stop - r.start)
 
 
 def _read_word(args: argparse.Namespace) -> Word:
@@ -113,14 +120,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "equivariance":
         jr = _span(args.jmin, args.jmax, -20, 20, "j")
         kr = _span(args.kmin, args.kmax, -50, 50, "k")
+        _at_most("equivariance case count", 3 * _size(jr) * _size(kr), _MAX_VERIFY_CASES)
         phi = cover_to_group_perturbed if args.perturb_map else cover_to_group
         report = check_equivariance(jr, kr, phi=phi)
     elif args.suite == "action":
         kr = _span(args.kmin, args.kmax, -10, 10, "k")
         mr = _span(args.mmin, args.mmax, -60, 60, "m")
+        # Identity and compatibility cases, then one index case per (k, m) and
+        # one length case per (k, m) with both nonnegative.
+        total = _size(mr) * (1 + _size(kr) ** 2) + _size(kr) * _size(mr)
+        total += _size(range(max(kr.start, 0), kr.stop)) * _size(range(max(mr.start, 0), mr.stop))
+        _at_most("action case count", total, _MAX_VERIFY_CASES)
         report = verify_action_axioms(kr, mr).merged(check_shift_law(kr, mr))
     elif args.suite == "iso":
         kr = _span(args.kmin, args.kmax, -15, 15, "k")
+        _at_most("iso case count", 2 * _size(kr) + _size(kr) ** 2, _MAX_VERIFY_CASES)
         report = check_isomorphism(kr)
     else:
         if not 0 <= args.radius <= _MAX_ORACLE_RADIUS:

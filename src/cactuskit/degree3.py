@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from .words import DegreeMismatchError, Generator, Word
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class CanonicalForm:
     """Coordinates (m, eps) of a degree-3 element."""
 
@@ -126,7 +126,7 @@ def pure_element(k: int) -> CanonicalForm:
     return CanonicalForm(3 * k, k % 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineMap:
     """The integer map x -> sign*x + shift; independent equality oracle."""
 

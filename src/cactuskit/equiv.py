@@ -24,7 +24,10 @@ from typing import Callable, Iterable, Iterator
 from .confspace import COVER_LABELS, CoverVertex, DeckElement, deck_act
 from .degree3 import (
     AFFINE_IDENTITY,
+    IDENTITY,
+    AffineMap,
     CanonicalForm,
+    affine_model,
     canonicalize,
     evaluate_word,
     in_dihedral_subgroup,
@@ -145,47 +148,42 @@ def check_equivariance(
     phi: CoverMap = cover_to_group,
 ) -> Iterator[str | None]:
     """Deck shift then phi must equal phi then the pure action."""
-    ks = list(k_range)
+    vs = [CoverVertex(label, k) for k in k_range for label in COVER_LABELS]
     for j in j_range:
         g = PureElement(j)
         d = DeckElement(j)
-        for k in ks:
-            for label in COVER_LABELS:
-                v = CoverVertex(label, k)
-                lhs = phi(deck_act(d, v))
-                rhs = pure_action(g, phi(v))
-                yield f"FAIL j={j} v={v} lhs={lhs} rhs={rhs}" if lhs != rhs else None
+        for v in vs:
+            lhs = phi(deck_act(d, v))
+            rhs = pure_action(g, phi(v))
+            yield f"FAIL j={j} v={v} lhs={lhs} rhs={rhs}" if lhs != rhs else None
 
 
 @_sweep
 def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[str | None]:
     """Identity and compatibility axioms of the pure action."""
-    ks = list(k_range)
-    ms = list(m_range)
+    gs = [PureElement(k) for k in k_range]
+    hs = [CanonicalForm(m, 0) for m in m_range]
     e = PureElement(0)
-    for m in ms:
-        h = CanonicalForm(m, 0)
+    for h in hs:
         got = pure_action(e, h)
-        yield f"FAIL identity m={m} got={got}" if got != h else None
-    for k1, k2 in product(ks, ks):
-        g1, g2 = PureElement(k1), PureElement(k2)
+        yield f"FAIL identity m={h.m} got={got}" if got != h else None
+    for g1, g2 in product(gs, gs):
         g12 = PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
-        for m in ms:
-            h = CanonicalForm(m, 0)
+        for h in hs:
             lhs = pure_action(g12, h)
             rhs = pure_action(g1, pure_action(g2, h))
-            yield f"FAIL k1={k1} k2={k2} m={m} lhs={lhs} rhs={rhs}" if lhs != rhs else None
+            yield f"FAIL k1={g1.k} k2={g2.k} m={h.m} lhs={lhs} rhs={rhs}" if lhs != rhs else None
 
 
 @_sweep
 def check_shift_law(k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[str | None]:
     """Acting by the k-th pure power adds 3k to the alternating index."""
-    ks = list(k_range)
-    ms = list(m_range)
-    for k in ks:
+    hs = [CanonicalForm(m, 0) for m in m_range]
+    for k in k_range:
         g = PureElement(k)
-        for m in ms:
-            out = pure_action(g, CanonicalForm(m, 0))
+        for h in hs:
+            m = h.m
+            out = pure_action(g, h)
             if out != CanonicalForm(m + 3 * k, 0):
                 yield f"FAIL k={k} m={m} got={out}"
                 continue
@@ -222,25 +220,52 @@ def check_isomorphism(k_range: Iterable[int]) -> Iterator[str | None]:
         yield f"FAIL k1={k1} k2={k2} lhs=j{lhs.j} rhs=j{rhs.j}" if lhs != rhs else None
 
 
-def _words_up_to(max_len: int) -> Iterable[Word]:
-    gens = all_generators(3)
+def _oracle_walk(max_len: int) -> Iterator[tuple[list[int], CanonicalForm, AffineMap]]:
+    """Every degree-3 word of length 0..max_len with its canonical form and
+    its affine map: the lengths in turn, each in ``product`` order.
+
+    A depth-first walk over the prefix tree extends a prefix's form by ``mul``
+    with the next letter's one-letter form, and its map by ``then`` with the
+    letter's affine image, so the two models are still computed apart.  The
+    stacks hold one entry per letter, never a whole level.  Yields
+    ``(path, form, map)``: ``path`` lists the letters' indices in
+    ``all_generators(3)`` and is the walk's own list, valid until the next step.
+    """
+    steps = [(canonicalize(Word(3, (g,))), affine_model(g)) for g in all_generators(3)]
     for length in range(max_len + 1):
-        for letters in product(gens, repeat=length):
-            yield Word(3, letters)
+        path = []
+        values = [(IDENTITY, AFFINE_IDENTITY)]  # values[d]: the forms of path[:d]
+        i = 0  # the next letter to try below the current prefix
+        while True:
+            if len(path) == length:
+                yield path, *values[-1]
+                i = len(steps)
+            if i < len(steps):
+                c, a = values[-1]
+                step_c, step_a = steps[i]
+                path.append(i)
+                values.append((mul(c, step_c), a.then(step_a)))
+                i = 0
+            elif path:
+                i = path.pop() + 1
+                values.pop()
+            else:
+                break
 
 
 @_sweep
 def check_oracle(max_len: int = 8) -> Iterator[str | None]:
     """Canonical forms and the affine model induce the same word partition,
     and every relator evaluates to the identity map."""
+    gens = all_generators(3)
     canon_to_affine = {}
     affine_to_canon = {}
-    for w in _words_up_to(max_len):
-        c = canonicalize(w)
-        a = evaluate_word(w)
+    for path, c, a in _oracle_walk(max_len):
         if canon_to_affine.setdefault(c, a) != a:
+            w = Word(3, tuple(gens[i] for i in path))
             yield f"FAIL word={w} canon={c} affine={a} expected={canon_to_affine[c]}"
         elif affine_to_canon.setdefault(a, c) != c:
+            w = Word(3, tuple(gens[i] for i in path))
             yield f"FAIL word={w} affine={a} canon={c} expected={affine_to_canon[a]}"
         else:
             yield None

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -132,3 +133,15 @@ def test_degree_of_counts_incident_edges():
     )
     assert g.degree_of(CanonicalForm(0, 0)) == 1
     assert g.degree_of(CanonicalForm(1, 0)) == 1
+
+
+def test_degree_of_matches_edge_count():
+    for group in ("J3", "J3_2"):
+        for radius in range(31):
+            g = build_window(group, radius)
+            ends = Counter(v for src, dst, _ in g.edges for v in (src, dst))
+            assert [g.degree_of(v) for v in g.vertices] == [ends[v] for v in g.vertices]
+            for outside in (CanonicalForm(radius + 1, 0), CanonicalForm(-radius - 1, 0)):
+                assert g.degree_of(outside) == 0
+            if group == "J3_2":
+                assert g.degree_of(CanonicalForm(0, 1)) == 0

@@ -7,7 +7,9 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+import cactuskit.cli as cli
 from cactuskit.cli import main
+from cactuskit.equiv import Report
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +219,41 @@ def test_verify_oracle_radius_limits(capsys):
     assert out.startswith("OK ")
 
 
+def test_verify_ranges_are_capped(capsys, monkeypatch):
+    big = "9" * 30
+    refused = [
+        (("equivariance", "--jmin", "-1000", "--jmax", "1000", "--kmin", "-1000", "--kmax", "1000"),
+         "equivariance case count 12012003 is above the limit of 1000000"),
+        (("equivariance", "--jmin", "0", "--jmax", "0", "--kmin", "1", "--kmax", "333334"),
+         "equivariance case count 1000002 is above the limit of 1000000"),
+        (("action", "--kmin", "0", "--kmax", "0", "--mmin", "0", "--mmax", "250000"),
+         "action case count 1000004 is above the limit of 1000000"),
+        (("action", "--kmin", "-1000", "--kmax", "1000", "--mmin", "0", "--mmax", "0"),
+         "action case count 4007004 is above the limit of 1000000"),
+        (("iso", "--kmin", "-2000", "--kmax", "2000"),
+         "iso case count 16016003 is above the limit of 1000000"),
+        (("iso", "--kmin", "1", "--kmax", "1000"),
+         "iso case count 1002000 is above the limit of 1000000"),
+        (("iso", "--kmin", f"-{big}", "--kmax", big),
+         f"iso case count {2 * (2 * int(big) + 1) + (2 * int(big) + 1) ** 2} "
+         "is above the limit of 1000000"),
+    ]
+    for argv, message in refused:
+        assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
+    # At the cap the suites run; stand-ins report the count they were given.
+    monkeypatch.setattr(cli, "check_equivariance", lambda jr, kr, phi: Report(3 * len(jr) * len(kr)))
+    monkeypatch.setattr(cli, "verify_action_axioms", lambda kr, mr: Report(len(mr) * (1 + len(kr) ** 2)))
+    monkeypatch.setattr(cli, "check_shift_law", lambda kr, mr: Report(2 * len(kr) * len(mr)))
+    monkeypatch.setattr(cli, "check_isomorphism", lambda kr: Report(2 * len(kr) + len(kr) ** 2))
+    allowed = [
+        ("equivariance", "--jmin", "0", "--jmax", "0", "--kmin", "1", "--kmax", "333333"),
+        ("action", "--kmin", "0", "--kmax", "0", "--mmin", "0", "--mmax", "249999"),
+        ("iso", "--kmin", "1", "--kmax", "999"),
+    ]
+    for argv, total in zip(allowed, (999_999, 1_000_000, 999_999)):
+        assert run_cli(capsys, "verify", *argv) == (0, f"OK {total} cases\n", "")
+
+
 def test_unknown_subcommand(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
 
@@ -239,8 +276,15 @@ def _any_of(*flags):
     return st.lists(st.one_of(*flags), max_size=3)
 
 
-_RANGE_FLAGS = ("jmin", "jmax", "kmin", "kmax", "mmin", "mmax")
 _small = st.integers(min_value=-2, max_value=5).map(str)
+
+
+def _range(name):
+    """A small span, or one so wide that every suite reading it is past the case cap."""
+    small = st.tuples(_flag(f"--{name}min", _small), _flag(f"--{name}max", _small))
+    return st.one_of(small, st.just((f"--{name}min", "-10000000", f"--{name}max", "10000000")))
+
+
 _word = st.lists(
     st.sampled_from(["s1,2", "s1,3", "s2,3", "s2,4", "s3,4", "s0,1", "s2,1", "s1,", "x", ""]),
     max_size=4,
@@ -267,7 +311,7 @@ _argv = st.one_of(
     st.tuples(
         st.just("verify"),
         st.sampled_from(["equivariance", "action", "iso", "oracle", "shift"]),
-        st.tuples(*(_flag(f"--{end}", _small) for end in _RANGE_FLAGS)),
+        st.tuples(*(_range(name) for name in "jkm")),
         _flag("--radius", st.sampled_from(["-1", "0", "2", "4", "13"])),
         st.lists(st.just("--perturb-map"), max_size=1),
     ),

@@ -1,4 +1,7 @@
 import re
+import sys
+import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +14,7 @@ from cactuskit.degree3 import (
     AffineMap,
     CanonicalForm,
     canonicalize,
+    evaluate_word,
     in_dihedral_subgroup,
     mul,
     pure_element,
@@ -20,6 +24,7 @@ from cactuskit.equiv import (
     OutsideSubgroupError,
     PureElement,
     Report,
+    _oracle_walk,
     check_equivariance,
     check_isomorphism,
     check_oracle,
@@ -32,7 +37,7 @@ from cactuskit.equiv import (
     pure_from_deck,
     verify_action_axioms,
 )
-from cactuskit.words import Word, concat, parse_word
+from cactuskit.words import Word, all_generators, concat, parse_word
 
 
 def test_pure_element_round_trip():
@@ -254,16 +259,49 @@ def test_isomorphism_failure_lines(monkeypatch):
     )
 
 
+def test_oracle_walk_matches_word_by_word():
+    gens = all_generators(3)
+    walked = [(tuple(gens[i] for i in path), c, a) for path, c, a in _oracle_walk(7)]
+    expected = [
+        (letters, canonicalize(Word(3, letters)), evaluate_word(Word(3, letters)))
+        for length in range(8)
+        for letters in product(gens, repeat=length)
+    ]
+    assert walked == expected
+
+
+def test_oracle_memory_stays_below_one_level():
+    # The walk keeps one prefix per letter; the 3^9 forms of the last level
+    # alone would take this many bytes if the sweep held them.
+    level = 3**9 * sys.getsizeof(IDENTITY)
+    tracemalloc.start()
+    try:
+        report = check_oracle(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok()
+    assert peak < level / 10
+
+
 def test_oracle_failure_lines(monkeypatch):
-    wrong = {"s1,2 s2,3": AFFINE_IDENTITY, "s1,3 s1,3": AffineMap(-1, 1)}
+    # The walk builds each word's form through equiv.mul: s1,2 s1,2 gets a
+    # new form for an affine map already seen, s1,3 s1,3 a form already seen
+    # with another map.  Relators still go through equiv.evaluate_word.
+    wrong_products = {
+        (CanonicalForm(1, 0), CanonicalForm(1, 0)): CanonicalForm(9, 0),
+        (CanonicalForm(0, 1), CanonicalForm(0, 1)): CanonicalForm(2, 0),
+    }
+    monkeypatch.setattr(equiv, "mul", lambda c1, c2: wrong_products.get((c1, c2)) or mul(c1, c2))
+    wrong = {"s1,3 s1,3": AffineMap(-1, 1)}
     real = equiv.evaluate_word
     monkeypatch.setattr(equiv, "evaluate_word", lambda w: wrong.get(str(w)) or real(w))
     report = check_oracle(2)
     assert report.render() == (
-        "FAIL word=s1,2 s2,3 affine=(sign=+1, shift=0) canon=(m=2, eps=0) "
+        "FAIL word=s1,2 s1,2 affine=(sign=+1, shift=0) canon=(m=9, eps=0) "
         "expected=(m=0, eps=0)\n"
-        "FAIL word=s1,3 s1,3 canon=(m=0, eps=0) affine=(sign=-1, shift=1) "
-        "expected=(sign=+1, shift=0)\n"
+        "FAIL word=s1,3 s1,3 canon=(m=2, eps=0) affine=(sign=+1, shift=0) "
+        "expected=(sign=+1, shift=2)\n"
         "FAIL involution relator s1,3 s1,3 =  not respected\n"
         "FAIL 3/18"
     )
