@@ -34,7 +34,7 @@ Edge = tuple[CanonicalForm, CanonicalForm, Generator]
 class CayleyGraph:
     group: str
     radius: int
-    vertices: tuple[CanonicalForm, ...]  # in sorted order
+    vertices: tuple[CanonicalForm, ...]  # sorted: degree_of bisects them
     edges: tuple[Edge, ...]
 
     def degree_of(self, v: CanonicalForm) -> int:

@@ -221,20 +221,19 @@ def check_isomorphism(k_range: Iterable[int]) -> Iterator[str | None]:
 
 
 def _oracle_walk(max_len: int) -> Iterator[tuple[list[int], CanonicalForm, AffineMap]]:
-    """Every degree-3 word of length 0..max_len with its canonical form and
-    its affine map: the lengths in turn, each in ``product`` order.
+    """Every degree-3 word of length 0..max_len as (path, form, map), the
+    lengths in turn and each in ``product`` order.
 
-    A depth-first walk over the prefix tree extends a prefix's form by ``mul``
-    with the next letter's one-letter form, and its map by ``then`` with the
-    letter's affine image, so the two models are still computed apart.  The
-    stacks hold one entry per letter, never a whole level.  Yields
-    ``(path, form, map)``: ``path`` lists the letters' indices in
-    ``all_generators(3)`` and is the walk's own list, valid until the next step.
+    A depth-first walk over the prefix tree extends a prefix's canonical form
+    by ``mul`` and its affine map by ``then`` with the next letter's images, so
+    the two models are still computed apart; the stacks hold one entry per
+    letter.  ``path`` lists the letters' indices in ``all_generators(3)``; it
+    is the walk's own list, valid until the next step.
     """
     steps = [(canonicalize(Word(3, (g,))), affine_model(g)) for g in all_generators(3)]
     for length in range(max_len + 1):
         path = []
-        values = [(IDENTITY, AFFINE_IDENTITY)]  # values[d]: the forms of path[:d]
+        values = [(IDENTITY, AFFINE_IDENTITY)]  # values[d]: form and map of path[:d]
         i = 0  # the next letter to try below the current prefix
         while True:
             if len(path) == length:
