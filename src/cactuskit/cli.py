@@ -28,11 +28,13 @@ from .words import Word, WordParseError, free_reduce, parse_word
 
 
 # Caps on inputs whose cost explodes: `chambers` walks (n-1)! permutations,
-# the oracle suite visits all 3^L words of each length L up to --radius, and
-# the other verify suites' case counts are products of their range spans.
+# the oracle suite visits all 3^L words of each length L up to --radius, the
+# other verify suites' case counts are products of their range spans, and the
+# shift law's length cases write out words whose letters sum to about k m^2.
 _MAX_CHAMBER_LABELS = 10
 _MAX_ORACLE_RADIUS = 12
 _MAX_VERIFY_CASES = 1_000_000
+_MAX_VERIFY_LETTERS = 1_000_000
 # Caps on inputs whose cost is linear but unbounded: a word's --n sizes an
 # O(n) array, and the Cayley and cover windows are built before printing.
 _MAX_WORD_DEGREE = 1_000
@@ -56,6 +58,10 @@ def _span(lo: int | None, hi: int | None, default_lo: int, default_hi: int, name
 def _size(r: range) -> int:
     # len() raises OverflowError on a range longer than sys.maxsize.
     return max(0, r.stop - r.start)
+
+
+def _sum(r: range) -> int:
+    return (r.start + r.stop - 1) * _size(r) // 2
 
 
 def _read_word(args: argparse.Namespace) -> Word:
@@ -126,11 +132,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.suite == "action":
         kr = _span(args.kmin, args.kmax, -10, 10, "k")
         mr = _span(args.mmin, args.mmax, -60, 60, "m")
+        kp, mp = range(max(kr.start, 0), kr.stop), range(max(mr.start, 0), mr.stop)
         # Identity and compatibility cases, then one index case per (k, m) and
         # one length case per (k, m) with both nonnegative.
-        total = _size(mr) * (1 + _size(kr) ** 2) + _size(kr) * _size(mr)
-        total += _size(range(max(kr.start, 0), kr.stop)) * _size(range(max(mr.start, 0), mr.stop))
+        total = _size(mr) * (1 + _size(kr) ** 2) + _size(kr) * _size(mr) + _size(kp) * _size(mp)
         _at_most("action case count", total, _MAX_VERIFY_CASES)
+        # Each length case writes out the m + 3k letters of its word.
+        letters = _size(kp) * _sum(mp) + 3 * _size(mp) * _sum(kp)
+        _at_most("action letter count", letters, _MAX_VERIFY_LETTERS)
         report = verify_action_axioms(kr, mr).merged(check_shift_law(kr, mr))
     elif args.suite == "iso":
         kr = _span(args.kmin, args.kmax, -15, 15, "k")

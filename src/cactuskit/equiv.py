@@ -160,18 +160,29 @@ def check_equivariance(
 
 @_sweep
 def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[str | None]:
-    """Identity and compatibility axioms of the pure action."""
+    """Identity and compatibility axioms of the pure action.
+
+    The action of one element on every ``h`` is a row, built by
+    ``pure_action`` the first time the element appears as ``g12`` or ``g2``
+    and reused after: |k|^2 pairs have at most 2|k| - 1 distinct products.
+    ``pure_action`` is a function of its arguments, so a reused row holds
+    what calling it again would return; each case still acts by ``g1`` on
+    its inner value, and each pair still multiplies through ``mul``.
+    """
     gs = [PureElement(k) for k in k_range]
     hs = [CanonicalForm(m, 0) for m in m_range]
     e = PureElement(0)
     for h in hs:
         got = pure_action(e, h)
         yield f"FAIL identity m={h.m} got={got}" if got != h else None
+    rows = {}
     for g1, g2 in product(gs, gs):
         g12 = PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
-        for h in hs:
-            lhs = pure_action(g12, h)
-            rhs = pure_action(g1, pure_action(g2, h))
+        for g in (g12, g2):
+            if g not in rows:
+                rows[g] = [pure_action(g, h) for h in hs]
+        for h, lhs, inner in zip(hs, rows[g12], rows[g2]):
+            rhs = pure_action(g1, inner)
             yield f"FAIL k1={g1.k} k2={g2.k} m={h.m} lhs={lhs} rhs={rhs}" if lhs != rhs else None
 
 
@@ -229,25 +240,41 @@ def _oracle_walk(max_len: int) -> Iterator[tuple[list[int], CanonicalForm, Affin
     the two models are still computed apart; the stacks hold one entry per
     letter.  ``path`` lists the letters' indices in ``all_generators(3)``; it
     is the walk's own list, valid until the next step.
+
+    Each step is memoised on the (form, map) pair and the letter: a pair gets
+    an id the first time the walk reaches it, and ``mul`` and ``then`` run
+    once per id and letter, not once per prefix.  Both are functions of their
+    arguments, so a memoised step yields what computing it again would; the
+    walk reaches a few dozen pairs, one per group element within the radius
+    when the two models agree.
     """
     steps = [(canonicalize(Word(3, (g,))), affine_model(g)) for g in all_generators(3)]
+    pairs = [(IDENTITY, AFFINE_IDENTITY)]  # each distinct (form, map) reached
+    ids = {pairs[0]: 0}  # the inverse of pairs
+    succ = {}  # (id of a pair, letter index) -> id of the pair extended by it
     for length in range(max_len + 1):
         path = []
-        values = [(IDENTITY, AFFINE_IDENTITY)]  # values[d]: form and map of path[:d]
+        nodes = [0]  # nodes[d]: id of the form and map of path[:d]
         i = 0  # the next letter to try below the current prefix
         while True:
             if len(path) == length:
-                yield path, *values[-1]
+                yield path, *pairs[nodes[-1]]
                 i = len(steps)
             if i < len(steps):
-                c, a = values[-1]
-                step_c, step_a = steps[i]
+                key = (nodes[-1], i)
+                if key not in succ:
+                    (c, a), (step_c, step_a) = pairs[nodes[-1]], steps[i]
+                    pair = (mul(c, step_c), a.then(step_a))
+                    if pair not in ids:
+                        ids[pair] = len(pairs)
+                        pairs.append(pair)
+                    succ[key] = ids[pair]
                 path.append(i)
-                values.append((mul(c, step_c), a.then(step_a)))
+                nodes.append(succ[key])
                 i = 0
             elif path:
                 i = path.pop() + 1
-                values.pop()
+                nodes.pop()
             else:
                 break
 

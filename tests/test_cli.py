@@ -230,6 +230,14 @@ def test_verify_ranges_are_capped(capsys, monkeypatch):
          "action case count 1000004 is above the limit of 1000000"),
         (("action", "--kmin", "-1000", "--kmax", "1000", "--mmin", "0", "--mmax", "0"),
          "action case count 4007004 is above the limit of 1000000"),
+        # Under the case cap, the shift law's length cases would write out
+        # 0 + 1 + ... + 249999 letters.
+        (("action", "--kmin", "0", "--kmax", "0", "--mmin", "0", "--mmax", "249999"),
+         "action letter count 31249875000 is above the limit of 1000000"),
+        (("action", "--kmin", "0", "--kmax", "0", "--mmin", "0", "--mmax", "1414"),
+         "action letter count 1000405 is above the limit of 1000000"),
+        (("action", "--kmin", "0", "--kmax", "333", "--mmin", "0", "--mmax", "5"),
+         "action letter count 1006008 is above the limit of 1000000"),
         (("iso", "--kmin", "-2000", "--kmax", "2000"),
          "iso case count 16016003 is above the limit of 1000000"),
         (("iso", "--kmin", "1", "--kmax", "1000"),
@@ -243,14 +251,20 @@ def test_verify_ranges_are_capped(capsys, monkeypatch):
     # At the cap the suites run; stand-ins report the count they were given.
     monkeypatch.setattr(cli, "check_equivariance", lambda jr, kr, phi: Report(3 * len(jr) * len(kr)))
     monkeypatch.setattr(cli, "verify_action_axioms", lambda kr, mr: Report(len(mr) * (1 + len(kr) ** 2)))
-    monkeypatch.setattr(cli, "check_shift_law", lambda kr, mr: Report(2 * len(kr) * len(mr)))
+    monkeypatch.setattr(
+        cli,
+        "check_shift_law",
+        lambda kr, mr: Report(len(kr) * len(mr) + sum(k >= 0 for k in kr) * sum(m >= 0 for m in mr)),
+    )
     monkeypatch.setattr(cli, "check_isomorphism", lambda kr: Report(2 * len(kr) + len(kr) ** 2))
     allowed = [
         ("equivariance", "--jmin", "0", "--jmax", "0", "--kmin", "1", "--kmax", "333333"),
-        ("action", "--kmin", "0", "--kmax", "0", "--mmin", "0", "--mmax", "249999"),
+        # At the case cap with 499,500 letters, and at the letter cap with 999,391.
+        ("action", "--kmin", "0", "--kmax", "0", "--mmin", "-332000", "--mmax", "999"),
+        ("action", "--kmin", "0", "--kmax", "0", "--mmin", "0", "--mmax", "1413"),
         ("iso", "--kmin", "1", "--kmax", "999"),
     ]
-    for argv, total in zip(allowed, (999_999, 1_000_000, 999_999)):
+    for argv, total in zip(allowed, (999_999, 1_000_000, 5_656, 999_999)):
         assert run_cli(capsys, "verify", *argv) == (0, f"OK {total} cases\n", "")
 
 
@@ -279,10 +293,12 @@ def _any_of(*flags):
 _small = st.integers(min_value=-2, max_value=5).map(str)
 
 
-def _range(name):
-    """A small span, or one so wide that every suite reading it is past the case cap."""
+def _range(name, *wide):
+    """A small span, the span -10^7..10^7 that puts every suite reading it past
+    the case cap, or one of the ``wide`` spans."""
     small = st.tuples(_flag(f"--{name}min", _small), _flag(f"--{name}max", _small))
-    return st.one_of(small, st.just((f"--{name}min", "-10000000", f"--{name}max", "10000000")))
+    wide = (("-10000000", "10000000"), *wide)
+    return st.one_of(small, *(st.just((f"--{name}min", lo, f"--{name}max", hi)) for lo, hi in wide))
 
 
 _word = st.lists(
@@ -311,7 +327,9 @@ _argv = st.one_of(
     st.tuples(
         st.just("verify"),
         st.sampled_from(["equivariance", "action", "iso", "oracle", "shift"]),
-        st.tuples(*(_range(name) for name in "jkm")),
+        # m from 0 to 1414 passes the action case cap; with any k >= 0 it is past
+        # the letter cap, and with only k < 0 it runs at most 9,905 cases.
+        st.tuples(_range("j"), _range("k"), _range("m", ("0", "1414"))),
         _flag("--radius", st.sampled_from(["-1", "0", "2", "4", "13"])),
         st.lists(st.just("--perturb-map"), max_size=1),
     ),

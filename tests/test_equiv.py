@@ -160,6 +160,31 @@ def test_perturbed_map_fails_equivariance():
     assert report.render().splitlines()[-1] == f"FAIL {len(report.failures)}/{report.total}"
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls a sweep makes through the module-level name in equiv."""
+    calls = []
+    real = getattr(equiv, name)
+    monkeypatch.setattr(equiv, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_action_axioms_act_once_per_row(monkeypatch):
+    # The default window: 121 identity cases, one action by g1 for each of the
+    # 21 * 21 * 121 compatibility cases, and one row of 121 for each of the
+    # 41 distinct elements among the products g12 and the inner g2.
+    calls = _count_calls(monkeypatch, "pure_action")
+    assert verify_action_axioms(range(-10, 11), range(-60, 61)).ok()
+    assert len(calls) <= 121 + 21 * 21 * 121 + 41 * 121 == 58_443
+
+
+def test_oracle_multiplies_once_per_pair_and_letter(monkeypatch):
+    # 29,524 words of length 0..9, but their prefixes reach a few dozen
+    # (form, map) pairs, each extended by 3 letters.
+    calls = _count_calls(monkeypatch, "mul")
+    assert check_oracle(9).ok()
+    assert len(calls) < 200
+
+
 def test_verify_action_axioms():
     report = verify_action_axioms(range(-4, 5), range(-10, 11))
     assert report.ok()
