@@ -60,6 +60,8 @@ def build_window(group: str, radius: int) -> CayleyGraph:
     """All elements of word length <= radius with generator-labeled edges."""
     if group not in _GENERATORS:
         raise ValueError(f"unknown group tag {group!r}; expected J3 or J3_2")
+    if type(radius) is not int:
+        raise ValueError(f"radius must be an int, got {radius!r}")
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
     vertices = _window_vertices(group, radius)

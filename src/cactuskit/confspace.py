@@ -82,6 +82,8 @@ def canonical_chamber(seq) -> Chamber:
 
 def enumerate_chambers(n: int) -> tuple[Chamber, ...]:
     """All chambers for n labels, sorted; there are (n-1)!/2 of them."""
+    if type(n) is not int:
+        raise ValueError(f"number of labels must be an int, got {n!r}")
     if n < 3:
         raise ValueError(f"need at least 3 labels, got {n}")
     return tuple(
@@ -170,6 +172,8 @@ class DeckElement:
 
 def cover_window(K: int) -> list[CoverVertex]:
     """Cover vertices for k in [-K, K] in line order: [213]_k, [123]_k, [132]_k."""
+    if type(K) is not int:
+        raise ValueError(f"window size must be an int, got {K!r}")
     if K < 0:
         raise ValueError(f"window size must be nonnegative, got {K}")
     return [

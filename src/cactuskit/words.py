@@ -11,10 +11,12 @@ reverses the index interval [p, q].  Three relation families hold:
   passing it).
 
 This module holds the word container, single-step moves for each relation,
-and a breadth-first search oracle over those moves; the relation patterns
-live in one move table over ``(p, q)`` pairs.  The search answers only
-"equal" or "unknown": it never claims two words are distinct.  Exact equality
-is available at degree 3 through the canonical form in ``degree3``.
+and a search oracle over those moves; the relation patterns live in one move
+table over ``(p, q)`` pairs.  The search is a bidirectional breadth-first
+search over strings with one character per letter, and its node budget
+counts the expansions of both sides.  It answers only "equal" or "unknown":
+it never claims two words are distinct.  Exact equality is available at
+degree 3 through the canonical form in ``degree3``.
 """
 
 from __future__ import annotations
@@ -188,16 +190,56 @@ def _pairs(letters: Iterable[Generator]) -> tuple[tuple[int, int], ...]:
     return tuple((g.p, g.q) for g in letters)
 
 
-def _rewrites(letters: tuple, squares: list[tuple], max_length: int) -> Iterator[tuple]:
-    """Every word one relation move away from ``letters``, possibly repeated;
-    ``squares`` holds one ``(g, g)`` per generator, shared by every insertion."""
-    for i in range(len(letters) - 1):
-        for _, replacement in _moves(letters[i], letters[i + 1]):
-            yield letters[:i] + replacement + letters[i + 2 :]
-    if len(letters) + 2 <= max_length:
-        for square in squares:
-            for i in range(len(letters) + 1):
-                yield letters[:i] + square + letters[i:]
+# chr() has this many code points; n(n-1)/2 generators outgrow it at degree 1,494.
+_CODES = 0x110000
+
+
+class _Alphabet(dict):
+    """Degree n's words as strings with one character per letter: s_{p,q} is
+    ``chr(i)`` for its index i in ``all_generators(n)``.  A ``str`` caches its
+    hash, so the search's ``seen`` lookups do not re-hash every letter.
+
+    As a dict, it maps each adjacent two-letter string to its encoded
+    ``_moves`` replacements, filled on first use: the full table would have
+    n^2(n-1)^2/4 entries.
+    """
+
+    def __init__(self, n: int) -> None:
+        if n * (n - 1) // 2 > _CODES:
+            raise ValueError(
+                f"degree {n} has {n * (n - 1) // 2} generators, more than the "
+                f"{_CODES} one-character letter codes"
+            )
+        super().__init__()
+        self.n = n
+        self.pairs = [(p, q) for p in range(1, n) for q in range(p + 1, n + 1)]
+        self.squares = [chr(i) * 2 for i in range(len(self.pairs))]
+
+    def __missing__(self, two: str) -> list[str]:
+        moves = _moves(self.pairs[ord(two[0])], self.pairs[ord(two[1])])
+        self[two] = replacements = [self.encode(r) for _, r in moves]
+        return replacements
+
+    def encode(self, pairs: Iterable[tuple[int, int]]) -> str:
+        n = self.n
+        return "".join([chr((p - 1) * (2 * n - p) // 2 + q - p - 1) for p, q in pairs])
+
+    def decode(self, word: str) -> Word:
+        return Word.from_pairs(self.n, [self.pairs[ord(c)] for c in word])
+
+
+def _rewrites(alphabet: _Alphabet, word: str, max_length: int) -> list[str]:
+    """Every word one relation move away from ``word``, possibly repeated;
+    square insertions only while the result stays within ``max_length``."""
+    out = [
+        word[:i] + replacement + word[i + 2 :]
+        for i in range(len(word) - 1)
+        for replacement in alphabet[word[i : i + 2]]
+    ]
+    if len(word) + 2 <= max_length:
+        cuts = [(word[:i], word[i:]) for i in range(len(word) + 1)]
+        out += [head + square + tail for square in alphabet.squares for head, tail in cuts]
+    return out
 
 
 def _rewrite(w: Word, i: int, move: str, mismatch: str | None) -> Word:
@@ -240,9 +282,9 @@ def neighbors(w: Word, max_length: int) -> set[Word]:
     Pair insertions are included only while the result stays within
     ``max_length``; every other move can only shrink or rearrange.
     """
-    squares = [(g, g) for g in _pairs(all_generators(w.degree))]
-    found = set(_rewrites(_pairs(w), squares, max_length))
-    return {Word.from_pairs(w.degree, letters) for letters in found}
+    alphabet = _Alphabet(w.degree)
+    found = set(_rewrites(alphabet, alphabet.encode(_pairs(w)), max_length))
+    return {alphabet.decode(word) for word in found}
 
 
 def equal_by_search(
@@ -251,30 +293,44 @@ def equal_by_search(
     length_cap: int | None = None,
     node_budget: int = 20_000,
 ) -> Literal["equal", "unknown"]:
-    """Breadth-first equality oracle over the single-step moves.
+    """Bidirectional breadth-first equality oracle over the single-step moves.
 
-    Returns "equal" only when a rewrite path from w1 to w2 is found within
-    the word-length cap and the node budget; otherwise "unknown".
+    One search runs from each word, over strings with one character per
+    letter; each step expands a word from the side with the smaller
+    frontier.  Returns "equal" as soon as one side reaches a word the other
+    has seen, and "unknown" when either frontier runs dry or after
+    ``node_budget`` expansions, counted over both sides.  Every move is
+    undone by another within the length cap, so a meeting is a rewrite path
+    from w1 to w2.
     """
     if w1.degree != w2.degree:
         raise DegreeMismatchError("cannot compare words of different degrees")
+    if length_cap is not None and type(length_cap) is not int:
+        raise ValueError(f"length_cap must be None or an int, got {length_cap!r}")
+    if type(node_budget) is not int:
+        raise ValueError(f"node_budget must be an int, got {node_budget!r}")
+    alphabet = _Alphabet(w1.degree)
     if length_cap is None:
         length_cap = max(len(w1), len(w2)) + 4
-    start, goal = _pairs(w1), _pairs(w2)
+    start, goal = alphabet.encode(_pairs(w1)), alphabet.encode(_pairs(w2))
     if start == goal:
         return "equal"
-    squares = [(g, g) for g in _pairs(all_generators(w1.degree))]
-    seen = {start}
-    frontier = deque([start])
-    expanded = 0
-    while frontier and expanded < node_budget:
-        expanded += 1
-        for nb in _rewrites(frontier.popleft(), squares, length_cap):
-            if nb == goal:
-                return "equal"
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
+    seen, other_seen = {start}, {goal}
+    frontier, other_frontier = deque([start]), deque([goal])
+    for _ in range(node_budget):
+        if len(other_frontier) < len(frontier):
+            seen, other_seen = other_seen, seen
+            frontier, other_frontier = other_frontier, frontier
+        if not frontier:
+            return "unknown"
+        # The new words in first-seen order, each marked seen as it is kept
+        # (set.add returns None); the order makes every run expand alike.
+        add = seen.add
+        rewrites = _rewrites(alphabet, frontier.popleft(), length_cap)
+        found = [nb for nb in rewrites if nb not in seen and not add(nb)]
+        if not other_seen.isdisjoint(found):
+            return "equal"
+        frontier.extend(found)
     return "unknown"
 
 
