@@ -76,6 +76,10 @@ def test_build_window_validation():
         build_window("J4", 2)
     with pytest.raises(ValueError):
         build_window("J3_2", -1)
+    for radius in (True, 2.0, 2.5, "2"):
+        with pytest.raises(ValueError) as info:
+            build_window("J3", radius)
+        assert str(info.value) == f"radius must be an int, got {radius!r}"
 
 
 def test_export_json_schema():

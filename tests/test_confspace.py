@@ -32,6 +32,10 @@ def test_canonical_chamber_validation():
         canonical_chamber((1, 2))
     with pytest.raises(ValueError):
         enumerate_chambers(2)
+    for n in (True, 4.0, 4.5, "4"):
+        with pytest.raises(ValueError) as info:
+            enumerate_chambers(n)
+        assert str(info.value) == f"number of labels must be an int, got {n!r}"
     for seq in ((True, 2, 3), (1, 2, 3.0), (1.0, 2, 3), ("1", 2, 3)):
         with pytest.raises(ValueError, match="is not an arrangement of 1..3"):
             canonical_chamber(seq)
@@ -135,6 +139,10 @@ def test_cover_window_order():
         assert len(cover_window(K)) == 3 * (2 * K + 1)
     with pytest.raises(ValueError):
         cover_window(-1)
+    for K in (True, 1.0, 1.5, "1"):
+        with pytest.raises(ValueError) as info:
+            cover_window(K)
+        assert str(info.value) == f"window size must be an int, got {K!r}"
 
 
 def test_cover_vertex_validation():

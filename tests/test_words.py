@@ -1,3 +1,7 @@
+import random
+import sys
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -266,6 +270,140 @@ def test_search_equal_is_sound(query):
         if w1.degree == 3:
             assert canonicalize(w1) == canonicalize(w2)
         assert project(w1) == project(w2)
+
+
+def _reference_search(w1, w2, length_cap=None, node_budget=20_000):
+    """The one-sided breadth-first search over tuples of (p, q) pairs that the
+    bidirectional search replaced: it expands from w1 only."""
+    n = w1.degree
+    if length_cap is None:
+        length_cap = max(len(w1), len(w2)) + 4
+    start = tuple((g.p, g.q) for g in w1)
+    goal = tuple((g.p, g.q) for g in w2)
+    if start == goal:
+        return "equal"
+    seen, frontier, expanded = {start}, deque([start]), 0
+    while frontier and expanded < node_budget:
+        expanded += 1
+        for nb in _reference_neighbors(frontier.popleft(), n, length_cap):
+            if nb == goal:
+                return "equal"
+            if nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return "unknown"
+
+
+@st.composite
+def short_queries(draw):
+    """Two words of at most 3 letters, a few moves apart or unrelated."""
+    n, start = draw(degree_and_pairs(degrees=(3, 4), max_size=3))
+    end = start
+    for _ in range(draw(st.integers(0, 3))):
+        options = sorted(_reference_neighbors(end, n, 3))
+        if not options:
+            break
+        end = draw(st.sampled_from(options))
+    if draw(st.booleans()):
+        end = draw(degree_and_pairs(degrees=(n,), max_size=3))[1]
+    return Word.from_pairs(n, start), Word.from_pairs(n, end)
+
+
+@settings(deadline=None, max_examples=40)
+@given(short_queries())
+def test_search_matches_the_one_sided_search_on_whole_components(query):
+    # At the default length cap no component of these words has more than
+    # 7,659 words, so both searches run until they have an exact answer.
+    w1, w2 = query
+    assert equal_by_search(w1, w2) == _reference_search(w1, w2)
+
+
+def _known_equal_pairs(seed, count_per_kind=6):
+    """Seeded pairs a few reference moves apart, both within 7 letters."""
+    rng = random.Random(seed)
+    pairs = []
+    for n, k in [(3, 2), (3, 4), (3, 6), (4, 2), (4, 4), (4, 6), (4, 8)] * count_per_kind:
+        gens = _generator_pairs(n)
+        end = start = tuple(rng.choice(gens) for _ in range(rng.randint(4, 6)))
+        while end == start:
+            for _ in range(k):
+                end = rng.choice(sorted(_reference_neighbors(end, n, 7)))
+        pairs.append((Word.from_pairs(n, start), Word.from_pairs(n, end)))
+    return pairs
+
+
+def test_search_decides_what_the_one_sided_search_decides():
+    pairs = _known_equal_pairs(1)
+    reference = [_reference_search(a, b, node_budget=300) for a, b in pairs]
+    ours = [equal_by_search(a, b, node_budget=300) for a, b in pairs]
+    lost = [i for i, answer in enumerate(reference) if answer == "equal" != ours[i]]
+    assert lost == []
+    # The one-sided search leaves some of these undecided at this budget.
+    assert reference.count("equal") < ours.count("equal") == len(pairs) == 42
+
+
+def test_search_expansions_stay_within_the_budget(monkeypatch):
+    expansions = 0
+    rewrites = words._rewrites
+
+    def counting(*args):
+        nonlocal expansions
+        expansions += 1
+        return rewrites(*args)
+
+    monkeypatch.setattr(words, "_rewrites", counting)
+    # Distinct (m = -2 against m = -1); both components outgrow every budget here.
+    w, longer = w3("s1,2 s1,3 s2,3 s1,2 s2,3 s1,3"), w3("s1,2 s1,3 s2,3 s1,2 s2,3 s1,3 s1,2")
+    for budget in (0, 1, 50, 300):
+        expansions = 0
+        assert equal_by_search(w, longer, node_budget=budget) == "unknown"
+        assert expansions == budget
+    # A frontier that runs dry stops the search before the budget.
+    expansions = 0
+    assert equal_by_search(w3("s1,2"), w3("s2,3"), node_budget=300) == "unknown"
+    assert expansions == 69
+    for a, b in _known_equal_pairs(2, count_per_kind=1):
+        for budget in (1, 5, 300):
+            expansions = 0
+            equal_by_search(a, b, node_budget=budget)
+            assert expansions <= budget
+
+
+def test_search_argument_checks():
+    a, b = w3("s1,2"), w3("s2,3")
+    for cap in (2.5, True, "7"):
+        with pytest.raises(ValueError) as info:
+            equal_by_search(a, b, length_cap=cap)
+        assert str(info.value) == f"length_cap must be None or an int, got {cap!r}"
+    for budget in (True, 2.5, None):
+        with pytest.raises(ValueError) as info:
+            equal_by_search(a, b, node_budget=budget)
+        assert str(info.value) == f"node_budget must be an int, got {budget!r}"
+    with pytest.raises(DegreeMismatchError):
+        equal_by_search(a, w4("s1,2"), length_cap=2.5)
+
+
+def test_search_refuses_degrees_past_the_letter_codes(monkeypatch):
+    # One character per letter: chr has sys.maxunicode + 1 codes, enough for
+    # the n(n-1)/2 generators up to degree 1,493 and not at 1,494.
+    assert words._CODES == sys.maxunicode + 1
+    assert 1493 * 1492 // 2 <= words._CODES < 1494 * 1493 // 2
+    monkeypatch.setattr(words, "_rewrites", None)  # no search may start
+    w = Word(1494, (Generator(1, 2, 1494),))
+    message = "degree 1494 has 1115271 generators, more than the 1114112 one-character letter codes"
+    for call in (lambda: equal_by_search(w, w), lambda: neighbors(w, 3)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    with pytest.raises(DegreeMismatchError):
+        equal_by_search(w, w3("s1,2"))
+    # The bound is the only limit: with fewer codes, degree 4 is refused
+    # and degree 3 still searches.
+    monkeypatch.undo()
+    monkeypatch.setattr(words, "_CODES", 5)
+    with pytest.raises(ValueError, match="degree 4 has 6 generators"):
+        equal_by_search(w4("s1,2"), w4("s1,2"))
+    assert equal_by_search(w3("s1,2 s1,2"), Word(3)) == "equal"
 
 
 def test_search_moves_never_change_the_element():
