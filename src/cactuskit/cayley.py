@@ -8,12 +8,10 @@ to one undirected edge, stored with endpoints in sorted order.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .degree3 import CanonicalForm, canonicalize, mul
-from .words import Generator, PresentationSpec, Word
+from .words import Generator, PresentationSpec, Word, _setfield, _Value
 
 GROUP_FULL = "J3"
 GROUP_DIHEDRAL = "J3_2"
@@ -30,12 +28,18 @@ _GENERATORS = {
 Edge = tuple[CanonicalForm, CanonicalForm, Generator]
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
-    group: str
-    radius: int
-    vertices: tuple[CanonicalForm, ...]  # sorted: degree_of bisects them
-    edges: tuple[Edge, ...]
+class CayleyGraph(_Value):
+    """A window of a Cayley graph; ``degree_of`` bisects the sorted ``vertices``."""
+
+    __slots__ = _fields = ("group", "radius", "vertices", "edges")
+
+    def __init__(
+        self, group: str, radius: int, vertices: tuple[CanonicalForm, ...], edges: tuple[Edge, ...]
+    ) -> None:
+        _setfield(self, "group", group)
+        _setfield(self, "radius", radius)
+        _setfield(self, "vertices", vertices)
+        _setfield(self, "edges", edges)
 
     def degree_of(self, v: CanonicalForm) -> int:
         """Number of edges at v: one per generator whose product with v stays
@@ -77,6 +81,7 @@ def build_window(group: str, radius: int) -> CayleyGraph:
 
 
 def export_json(g: CayleyGraph) -> str:
+    import json  # here, so that importing the package does not load json
     index = {v: i for i, v in enumerate(g.vertices)}
     payload = {
         "group": g.group,

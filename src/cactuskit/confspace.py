@@ -20,17 +20,19 @@ string.  For n = 4 this yields the names 213, 123, 132.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
-from .words import DegreeMismatchError
+from .words import DegreeMismatchError, _Ordered, _setfield, _Value
 
 
-@dataclass(frozen=True, order=True)
-class Chamber:
+class Chamber(_Ordered):
     """Canonical representative of a cyclic arrangement of 1..n."""
 
-    order: tuple[int, ...]
+    __slots__ = _fields = ("order",)
+
+    def __init__(self, order: tuple[int, ...]) -> None:
+        _setfield(self, "order", order)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         _check_arrangement(self.order)
@@ -113,12 +115,16 @@ def chamber_adjacent(c1: Chamber, c2: Chamber) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class DualComplex:
+class DualComplex(_Value):
     """Chambers as vertices, collision walls as edges."""
 
-    vertices: tuple[Chamber, ...]
-    edges: tuple[tuple[Chamber, Chamber], ...]
+    __slots__ = _fields = ("vertices", "edges")
+
+    def __init__(
+        self, vertices: tuple[Chamber, ...], edges: tuple[tuple[Chamber, Chamber], ...]
+    ) -> None:
+        _setfield(self, "vertices", vertices)
+        _setfield(self, "edges", edges)
 
     def degree_of(self, c: Chamber) -> int:
         return sum(c in e for e in self.edges)
@@ -139,12 +145,15 @@ def build_dual_complex() -> DualComplex:
 COVER_LABELS = ("213", "123", "132")
 
 
-@dataclass(frozen=True)
-class CoverVertex:
+class CoverVertex(_Value):
     """A chamber name plus the winding index of one lift."""
 
-    label: str
-    k: int
+    __slots__ = _fields = ("label", "k")
+
+    def __init__(self, label: str, k: int) -> None:
+        _setfield(self, "label", label)
+        _setfield(self, "k", k)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.label not in COVER_LABELS:
@@ -152,15 +161,26 @@ class CoverVertex:
         if type(self.k) is not int:
             raise ValueError(f"winding index must be an int, got {self.k!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.label == other.label and self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.k))
+
     def __str__(self) -> str:
         return f"[{self.label}]_{self.k}"
 
 
-@dataclass(frozen=True)
-class DeckElement:
+class DeckElement(_Value):
     """The j-th power of the deck generator; shifts winding indices by j."""
 
-    j: int
+    __slots__ = _fields = ("j",)
+
+    def __init__(self, j: int) -> None:
+        _setfield(self, "j", j)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.j) is not int:

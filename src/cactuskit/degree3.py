@@ -30,23 +30,37 @@ coordinate arithmetic so the two can audit each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import DegreeMismatchError, Generator, Word
+from .words import DegreeMismatchError, Generator, Word, _Ordered, _setfield, _Value
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class CanonicalForm:
+class CanonicalForm(_Ordered):
     """Coordinates (m, eps) of a degree-3 element."""
 
-    m: int
-    eps: int = 0
+    __slots__ = _fields = ("m", "eps")
+
+    def __init__(self, m: int, eps: int = 0) -> None:
+        _setfield(self, "m", m)
+        _setfield(self, "eps", eps)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.m) is not int:
             raise ValueError(f"m must be an int, got {self.m!r}")
         if type(self.eps) is not int or self.eps not in (0, 1):
             raise ValueError(f"eps must be 0 or 1, got {self.eps!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self.eps == other.eps
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.eps))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.eps) < (other.m, other.eps)
 
     def __str__(self) -> str:
         return f"(m={self.m}, eps={self.eps})"
@@ -126,18 +140,29 @@ def pure_element(k: int) -> CanonicalForm:
     return CanonicalForm(3 * k, k % 2)
 
 
-@dataclass(frozen=True, slots=True)
-class AffineMap:
+class AffineMap(_Value):
     """The integer map x -> sign*x + shift; independent equality oracle."""
 
-    sign: int
-    shift: int
+    __slots__ = _fields = ("sign", "shift")
+
+    def __init__(self, sign: int, shift: int) -> None:
+        _setfield(self, "sign", sign)
+        _setfield(self, "shift", shift)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.sign) is not int or self.sign not in (-1, 1):
             raise ValueError(f"sign must be +-1, got {self.sign!r}")
         if type(self.shift) is not int:
             raise ValueError(f"shift must be an int, got {self.shift!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sign == other.sign and self.shift == other.shift
+
+    def __hash__(self) -> int:
+        return hash((self.sign, self.shift))
 
     def __call__(self, x: int) -> int:
         return self.sign * x + self.shift

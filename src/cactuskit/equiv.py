@@ -15,9 +15,7 @@ control so the verifiers themselves can be shown to catch errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import wraps
-from inspect import signature
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
@@ -35,7 +33,7 @@ from .degree3 import (
     pure_element,
     to_word,
 )
-from .words import Word, all_generators, relation_instances
+from .words import Word, _setfield, _Value, all_generators, relation_instances
 
 
 _S13 = CanonicalForm(0, 1)
@@ -45,17 +43,29 @@ class OutsideSubgroupError(ValueError):
     """Operand outside the subgroup the operation is defined on."""
 
 
-@dataclass(frozen=True)
-class PureElement:
+class PureElement(_Value):
     """The k-th power of the pure generator (s12 s13)^3."""
 
-    k: int
+    # _form, built once for the sweeps to act with, is not a field.
+    __slots__ = ("k", "_form")
+    _fields = ("k",)
+
+    def __init__(self, k: int) -> None:
+        _setfield(self, "k", k)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.k) is not int:
             raise ValueError(f"pure power must be an int, got {self.k!r}")
-        # Built once: the sweeps act by one element on many forms.
-        object.__setattr__(self, "_form", pure_element(self.k))
+        _setfield(self, "_form", pure_element(self.k))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.k,))
 
     @classmethod
     def from_canonical(cls, c: CanonicalForm) -> PureElement:
@@ -100,12 +110,14 @@ def group_to_cover(c: CanonicalForm) -> CoverVertex:
     return CoverVertex(COVER_LABELS[2 - r], k)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Value):
     """Outcome of a verification sweep; failures are kept as rendered lines."""
 
-    total: int
-    failures: tuple[str, ...] = ()
+    __slots__ = _fields = ("total", "failures")
+
+    def __init__(self, total: int, failures: tuple[str, ...] = ()) -> None:
+        _setfield(self, "total", total)
+        _setfield(self, "failures", failures)
 
     def ok(self) -> bool:
         return not self.failures
@@ -137,7 +149,8 @@ def _sweep(suite: Callable[..., Iterator[str | None]]) -> Callable[..., Report]:
                 failures.append(outcome)
         return Report(total, tuple(failures))
 
-    verifier.__signature__ = signature(suite).replace(return_annotation=Report)
+    # The suite's own dict (wraps shares it), which signature() reads via __wrapped__.
+    verifier.__annotations__["return"] = Report
     return verifier
 
 

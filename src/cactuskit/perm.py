@@ -11,19 +11,19 @@ array.  The array is inverted once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import DegreeMismatchError, Word
+from .words import DegreeMismatchError, Word, _setfield, _Value
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Value):
     """One-line notation: images[i - 1] is the image of i."""
 
-    images: tuple[int, ...]
+    __slots__ = _fields = ("images",)
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        _setfield(self, "images", tuple(images))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", tuple(self.images))
         n = len(self.images)
         ints = all(type(v) is int for v in self.images)
         if not ints or sorted(self.images) != list(range(1, n + 1)):

@@ -23,9 +23,54 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from functools import total_ordering
 from itertools import chain
 from typing import Iterable, Iterator, Literal
+
+_setfield = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable values: a subclass sets the slots named
+    in ``_fields`` through ``_setfield`` in its own ``__init__``.  Values equal
+    values of their class with equal fields, ``_Ordered`` ones order by them,
+    and copies rebuild through ``__init__``.  Hot classes inline these methods."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._key()
+
+
+@total_ordering
+class _Ordered(_Value):
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() < other._key()
 
 
 class InvalidGeneratorError(ValueError):
@@ -44,13 +89,16 @@ class WordParseError(ValueError):
     """Malformed word text; the message names the offending token."""
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(_Ordered):
     """The interval reverser s_{p,q} at degree n."""
 
-    p: int
-    q: int
-    n: int
+    __slots__ = _fields = ("p", "q", "n")
+
+    def __init__(self, p: int, q: int, n: int) -> None:
+        _setfield(self, "p", p)
+        _setfield(self, "q", q)
+        _setfield(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         ints = type(self.p) is type(self.q) is type(self.n) is int
@@ -58,6 +106,14 @@ class Generator:
             raise InvalidGeneratorError(
                 f"s{self.p},{self.q} is not a generator at degree {self.n}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.n))
 
     def __str__(self) -> str:
         return f"s{self.p},{self.q}"
@@ -67,15 +123,17 @@ def all_generators(n: int) -> list[Generator]:
     return [Generator(p, q, n) for p in range(1, n) for q in range(p + 1, n + 1)]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Value):
     """A finite product of generators; the empty word is the identity."""
 
-    degree: int
-    letters: tuple[Generator, ...] = ()
+    __slots__ = _fields = ("degree", "letters")
+
+    def __init__(self, degree: int, letters: Iterable[Generator] = ()) -> None:
+        _setfield(self, "degree", degree)
+        _setfield(self, "letters", tuple(letters))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
         if type(self.degree) is not int or self.degree < 2:
             raise ValueError(f"degree must be an int of at least 2, got {self.degree!r}")
         for g in self.letters:
@@ -131,8 +189,7 @@ def concat(*ws: Word) -> Word:
     return Word(degree, tuple(chain.from_iterable(w.letters for w in ws)))
 
 
-@dataclass(frozen=True)
-class PresentationSpec:
+class PresentationSpec(_Value):
     """Degree n together with the admitted interval lengths.
 
     ``subset`` may be given as the string "full" (all lengths 2..n) or any
@@ -140,8 +197,12 @@ class PresentationSpec:
     presentation when q - p + 1 is an admitted length.
     """
 
-    degree: int
-    subset: frozenset[int] = "full"  # type: ignore[assignment]
+    __slots__ = _fields = ("degree", "subset")
+
+    def __init__(self, degree: int, subset: Iterable[int] | str = "full") -> None:
+        _setfield(self, "degree", degree)
+        _setfield(self, "subset", subset)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.degree) is not int or self.degree < 2:
@@ -154,7 +215,7 @@ class PresentationSpec:
         if not subset <= set(range(2, self.degree + 1)):
             bad = sorted(subset - set(range(2, self.degree + 1)))
             raise ValueError(f"interval lengths {bad} lie outside [2, {self.degree}]")
-        object.__setattr__(self, "subset", subset)
+        _setfield(self, "subset", subset)
 
     def generators(self) -> list[Generator]:
         return [g for g in all_generators(self.degree) if g.q - g.p + 1 in self.subset]
@@ -282,6 +343,8 @@ def neighbors(w: Word, max_length: int) -> set[Word]:
     Pair insertions are included only while the result stays within
     ``max_length``; every other move can only shrink or rearrange.
     """
+    if type(max_length) is not int:
+        raise ValueError(f"max_length must be an int, got {max_length!r}")
     alphabet = _Alphabet(w.degree)
     found = set(_rewrites(alphabet, alphabet.encode(_pairs(w)), max_length))
     return {alphabet.decode(word) for word in found}

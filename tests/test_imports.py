@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +24,16 @@ def test_package_imports_only_the_standard_library():
                 if top != "cactuskit" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}:{node.lineno} imports {name}")
     assert not outside, "\n".join(outside)
+
+
+def test_cli_starts_without_the_slow_standard_modules():
+    # dataclasses (which pulls in inspect) and json cost more than the whole
+    # package's own import.  -S keeps site's .pth hooks from importing them first.
+    slow = ("dataclasses", "inspect", "json")
+    code = f"import sys, cactuskit.cli; print(' '.join(m for m in {slow!r} if m in sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []

@@ -242,6 +242,13 @@ def test_neighbors_contains_expected_moves():
     assert Word(3) in neighbors(w3("s1,2 s1,2"), max_length=2)
 
 
+def test_neighbors_rejects_a_non_int_max_length():
+    for cap in (True, 3.5, "7", None):
+        with pytest.raises(ValueError) as info:
+            neighbors(w3("s1,2"), cap)
+        assert str(info.value) == f"max_length must be an int, got {cap!r}"
+
+
 def test_equal_by_search():
     assert equal_by_search(w3("s1,2 s1,2"), Word(3)) == "equal"
     assert equal_by_search(w3("s1,2 s1,3"), w3("s1,3 s2,3")) == "equal"
