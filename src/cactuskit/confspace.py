@@ -101,7 +101,7 @@ def chamber_adjacent(c1: Chamber, c2: Chamber) -> bool:
     """
     if c1.degree != c2.degree:
         raise DegreeMismatchError("cannot compare chambers of different degrees")
-    if c1 == c2:
+    if c1.order == c2.order:
         return False
     n = c1.degree
     seq = c1.order
