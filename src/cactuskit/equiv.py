@@ -149,7 +149,7 @@ def _sweep(suite: Callable[..., Iterator[str | None]]) -> Callable[..., Report]:
                 failures.append(outcome)
         return Report(total, tuple(failures))
 
-    # The suite's own dict (wraps shares it), which signature() reads via __wrapped__.
+    # wraps shares the suite's annotations dict; signature() reads it via __wrapped__.
     verifier.__annotations__["return"] = Report
     return verifier
 

@@ -32,9 +32,9 @@ _setfield = object.__setattr__
 
 class _Value:
     """Base of the package's immutable values: a subclass sets the slots named
-    in ``_fields`` through ``_setfield`` in its own ``__init__``.  Values equal
-    values of their class with equal fields, ``_Ordered`` ones order by them,
-    and copies rebuild through ``__init__``.  Hot classes inline these methods."""
+    in ``_fields`` through ``_setfield`` in its own ``__init__``, equals values
+    of its class with equal fields (``_Ordered`` ones also order by them), and
+    copies through ``__init__``.  Hot classes write these methods out for speed."""
 
     __slots__ = ()
 
