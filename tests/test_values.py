@@ -1,6 +1,7 @@
 """Value semantics shared by every value class in the package: equality and
 hashing by fields within one class, immutability, the repr, copying and
-pickling, field order for the ordered classes, and the sweeps' signatures."""
+pickling, field order for the ordered classes, the constructors' rejection
+messages, and the signatures of the constructors and the sweeps."""
 
 import copy
 import inspect
@@ -16,8 +17,10 @@ from cactuskit import (
     Chamber,
     CoverVertex,
     DeckElement,
+    DegreeMismatchError,
     DualComplex,
     Generator,
+    InvalidGeneratorError,
     Permutation,
     PresentationSpec,
     PureElement,
@@ -138,7 +141,80 @@ def test_unordered_values_refuse_order():
         AffineMap(1, 0) < AffineMap(1, 1)
 
 
+# (class, arguments, error type, exact message): one rejected input per check.
+REJECTIONS = [
+    (Generator, (2, 1, 3), InvalidGeneratorError, "s2,1 is not a generator at degree 3"),
+    (Generator, (1, 2.0, 3), InvalidGeneratorError, "s1,2.0 is not a generator at degree 3"),
+    (Word, (1,), ValueError, "degree must be an int of at least 2, got 1"),
+    (
+        Word,
+        (3, (Generator(1, 2, 4),)),
+        DegreeMismatchError,
+        "letter s1,2 has degree 4 in a word of degree 3",
+    ),
+    (PresentationSpec, (1.5,), ValueError, "degree must be an int of at least 2, got 1.5"),
+    (PresentationSpec, (3, (2, 5, 1)), ValueError, "interval lengths [1, 5] lie outside [2, 3]"),
+    (CanonicalForm, (1.0,), ValueError, "m must be an int, got 1.0"),
+    (CanonicalForm, (0, 2), ValueError, "eps must be 0 or 1, got 2"),
+    (AffineMap, (0, 0), ValueError, "sign must be +-1, got 0"),
+    (AffineMap, (1, "0"), ValueError, "shift must be an int, got '0'"),
+    (Permutation, ((1, 1, 3),), ValueError, "(1, 1, 3) is not a permutation of 1..3"),
+    (Chamber, ((1, 2),), ValueError, "need at least 3 labels, got 2"),
+    (Chamber, ((1, 2, 5),), ValueError, "(1, 2, 5) is not an arrangement of 1..3"),
+    (
+        Chamber,
+        ((1, 4, 3, 2),),
+        ValueError,
+        "(1, 4, 3, 2) is not a canonical chamber representative",
+    ),
+    (
+        CoverVertex,
+        ("321", 0),
+        ValueError,
+        "label must be one of ('213', '123', '132'), got '321'",
+    ),
+    (CoverVertex, ("213", 0.5), ValueError, "winding index must be an int, got 0.5"),
+    (DeckElement, ("1",), ValueError, "deck power must be an int, got '1'"),
+    (PureElement, (None,), ValueError, "pure power must be an int, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    ("cls", "args", "error", "message"),
+    REJECTIONS,
+    ids=[f"{cls.__name__}-{i}" for i, (cls, *_) in enumerate(REJECTIONS)],
+)
+def test_constructors_reject_with_their_messages(cls, args, error, message):
+    with pytest.raises(error) as info:
+        cls(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_sweeps_keep_their_signatures():
+    # Parameters as (name, default), None where there is no default.
+    constructors = {
+        Generator: [("p", None), ("q", None), ("n", None)],
+        Word: [("degree", None), ("letters", ())],
+        PresentationSpec: [("degree", None), ("subset", "full")],
+        CanonicalForm: [("m", None), ("eps", 0)],
+        AffineMap: [("sign", None), ("shift", None)],
+        Permutation: [("images", None)],
+        Chamber: [("order", None)],
+        DualComplex: [("vertices", None), ("edges", None)],
+        CoverVertex: [("label", None), ("k", None)],
+        DeckElement: [("j", None)],
+        CayleyGraph: [("group", None), ("radius", None), ("vertices", None), ("edges", None)],
+        PureElement: [("k", None)],
+        Report: [("total", None), ("failures", ())],
+    }
+    assert set(constructors) == {cls for cls, _, _ in CASES}
+    for cls, params in constructors.items():
+        got = [
+            (p.name, None if p.default is inspect.Parameter.empty else p.default)
+            for p in inspect.signature(cls).parameters.values()
+        ]
+        assert got == params, cls.__name__
     expected = {
         check_equivariance: [("j_range", None), ("k_range", None), ("phi", cover_to_group)],
         verify_action_axioms: [("k_range", None), ("m_range", None)],
