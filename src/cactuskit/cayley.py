@@ -38,8 +38,8 @@ class CayleyGraph(_Value):
     ) -> None:
         _setfield(self, "group", group)
         _setfield(self, "radius", radius)
-        _setfield(self, "vertices", vertices)
-        _setfield(self, "edges", edges)
+        _setfield(self, "vertices", tuple(vertices))
+        _setfield(self, "edges", tuple(edges))
 
     def degree_of(self, v: CanonicalForm) -> int:
         """Number of edges at v: one per generator whose product with v stays

@@ -31,13 +31,11 @@ class Chamber(_Ordered):
     __slots__ = _fields = ("order",)
 
     def __init__(self, order: tuple[int, ...]) -> None:
+        order = tuple(order)
+        _check_arrangement(order)
+        if order[0] != 1 or order[1] > order[-1]:
+            raise ValueError(f"{order} is not a canonical chamber representative")
         _setfield(self, "order", order)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        _check_arrangement(self.order)
-        if self.order[0] != 1 or self.order[1] > self.order[-1]:
-            raise ValueError(f"{self.order} is not a canonical chamber representative")
 
     @property
     def degree(self) -> int:
@@ -123,8 +121,8 @@ class DualComplex(_Value):
     def __init__(
         self, vertices: tuple[Chamber, ...], edges: tuple[tuple[Chamber, Chamber], ...]
     ) -> None:
-        _setfield(self, "vertices", vertices)
-        _setfield(self, "edges", edges)
+        _setfield(self, "vertices", tuple(vertices))
+        _setfield(self, "edges", tuple(edges))
 
     def degree_of(self, c: Chamber) -> int:
         return sum(c in e for e in self.edges)
@@ -151,23 +149,12 @@ class CoverVertex(_Value):
     __slots__ = _fields = ("label", "k")
 
     def __init__(self, label: str, k: int) -> None:
+        if label not in COVER_LABELS:
+            raise ValueError(f"label must be one of {COVER_LABELS}, got {label!r}")
+        if type(k) is not int:
+            raise ValueError(f"winding index must be an int, got {k!r}")
         _setfield(self, "label", label)
         _setfield(self, "k", k)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.label not in COVER_LABELS:
-            raise ValueError(f"label must be one of {COVER_LABELS}, got {self.label!r}")
-        if type(self.k) is not int:
-            raise ValueError(f"winding index must be an int, got {self.k!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.label == other.label and self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.k))
 
     def __str__(self) -> str:
         return f"[{self.label}]_{self.k}"
@@ -179,12 +166,9 @@ class DeckElement(_Value):
     __slots__ = _fields = ("j",)
 
     def __init__(self, j: int) -> None:
+        if type(j) is not int:
+            raise ValueError(f"deck power must be an int, got {j!r}")
         _setfield(self, "j", j)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if type(self.j) is not int:
-            raise ValueError(f"deck power must be an int, got {self.j!r}")
 
     def then(self, other: DeckElement) -> DeckElement:
         return DeckElement(self.j + other.j)

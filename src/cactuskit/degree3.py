@@ -39,15 +39,12 @@ class CanonicalForm(_Ordered):
     __slots__ = _fields = ("m", "eps")
 
     def __init__(self, m: int, eps: int = 0) -> None:
+        if type(m) is not int:
+            raise ValueError(f"m must be an int, got {m!r}")
+        if type(eps) is not int or eps not in (0, 1):
+            raise ValueError(f"eps must be 0 or 1, got {eps!r}")
         _setfield(self, "m", m)
         _setfield(self, "eps", eps)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if type(self.m) is not int:
-            raise ValueError(f"m must be an int, got {self.m!r}")
-        if type(self.eps) is not int or self.eps not in (0, 1):
-            raise ValueError(f"eps must be 0 or 1, got {self.eps!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -146,15 +143,12 @@ class AffineMap(_Value):
     __slots__ = _fields = ("sign", "shift")
 
     def __init__(self, sign: int, shift: int) -> None:
+        if type(sign) is not int or sign not in (-1, 1):
+            raise ValueError(f"sign must be +-1, got {sign!r}")
+        if type(shift) is not int:
+            raise ValueError(f"shift must be an int, got {shift!r}")
         _setfield(self, "sign", sign)
         _setfield(self, "shift", shift)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if type(self.sign) is not int or self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +-1, got {self.sign!r}")
-        if type(self.shift) is not int:
-            raise ValueError(f"shift must be an int, got {self.shift!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

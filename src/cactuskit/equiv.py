@@ -51,21 +51,10 @@ class PureElement(_Value):
     _fields = ("k",)
 
     def __init__(self, k: int) -> None:
+        if type(k) is not int:
+            raise ValueError(f"pure power must be an int, got {k!r}")
         _setfield(self, "k", k)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if type(self.k) is not int:
-            raise ValueError(f"pure power must be an int, got {self.k!r}")
-        _setfield(self, "_form", pure_element(self.k))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.k,))
+        _setfield(self, "_form", pure_element(k))
 
     @classmethod
     def from_canonical(cls, c: CanonicalForm) -> PureElement:
@@ -117,7 +106,7 @@ class Report(_Value):
 
     def __init__(self, total: int, failures: tuple[str, ...] = ()) -> None:
         _setfield(self, "total", total)
-        _setfield(self, "failures", failures)
+        _setfield(self, "failures", tuple(failures))
 
     def ok(self) -> bool:
         return not self.failures

@@ -20,14 +20,12 @@ class Permutation(_Value):
     __slots__ = _fields = ("images",)
 
     def __init__(self, images: tuple[int, ...]) -> None:
-        _setfield(self, "images", tuple(images))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        ints = all(type(v) is int for v in self.images)
-        if not ints or sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{n}")
+        images = tuple(images)
+        n = len(images)
+        ints = all(type(v) is int for v in images)
+        if not ints or sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"{images} is not a permutation of 1..{n}")
+        _setfield(self, "images", images)
 
     @classmethod
     def identity(cls, n: int) -> Permutation:

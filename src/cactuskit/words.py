@@ -31,10 +31,17 @@ _setfield = object.__setattr__
 
 
 class _Value:
-    """Base of the package's immutable values: a subclass sets the slots named
-    in ``_fields`` through ``_setfield`` in its own ``__init__``, equals values
-    of its class with equal fields (``_Ordered`` ones also order by them), and
-    copies through ``__init__``.  Hot classes write these methods out for speed."""
+    """Base of the package's immutable values.
+
+    A subclass's ``__init__`` checks its arguments as locals, then stores them
+    in the slots named in ``_fields`` through ``_setfield``, sequences as
+    tuples.  A value equals and hashes as the values of its class with equal
+    fields (``_Ordered`` ones also order by them), and copies through
+    ``__init__``.  Three classes write ``__eq__`` and ``__hash__`` out, because
+    a workload calls them per letter or per case: ``Generator`` (the dict
+    lookup per letter in ``evaluate_word``), ``CanonicalForm`` (the sweeps'
+    comparisons and the Cayley windows' sets) and ``AffineMap`` (the oracle's
+    dicts)."""
 
     __slots__ = ()
 
@@ -95,17 +102,11 @@ class Generator(_Ordered):
     __slots__ = _fields = ("p", "q", "n")
 
     def __init__(self, p: int, q: int, n: int) -> None:
+        if not (type(p) is type(q) is type(n) is int and 1 <= p < q <= n):
+            raise InvalidGeneratorError(f"s{p},{q} is not a generator at degree {n}")
         _setfield(self, "p", p)
         _setfield(self, "q", q)
         _setfield(self, "n", n)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        ints = type(self.p) is type(self.q) is type(self.n) is int
-        if not (ints and 1 <= self.p < self.q <= self.n):
-            raise InvalidGeneratorError(
-                f"s{self.p},{self.q} is not a generator at degree {self.n}"
-            )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -119,6 +120,11 @@ class Generator(_Ordered):
         return f"s{self.p},{self.q}"
 
 
+def _check_degree(degree: int) -> None:
+    if type(degree) is not int or degree < 2:
+        raise ValueError(f"degree must be an int of at least 2, got {degree!r}")
+
+
 def all_generators(n: int) -> list[Generator]:
     return [Generator(p, q, n) for p in range(1, n) for q in range(p + 1, n + 1)]
 
@@ -129,18 +135,15 @@ class Word(_Value):
     __slots__ = _fields = ("degree", "letters")
 
     def __init__(self, degree: int, letters: Iterable[Generator] = ()) -> None:
-        _setfield(self, "degree", degree)
-        _setfield(self, "letters", tuple(letters))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if type(self.degree) is not int or self.degree < 2:
-            raise ValueError(f"degree must be an int of at least 2, got {self.degree!r}")
-        for g in self.letters:
-            if g.n != self.degree:
+        letters = tuple(letters)
+        _check_degree(degree)
+        for g in letters:
+            if g.n != degree:
                 raise DegreeMismatchError(
-                    f"letter {g} has degree {g.n} in a word of degree {self.degree}"
+                    f"letter {g} has degree {g.n} in a word of degree {degree}"
                 )
+        _setfield(self, "degree", degree)
+        _setfield(self, "letters", letters)
 
     @classmethod
     def from_pairs(cls, degree: int, pairs: Iterable[tuple[int, int]]) -> Word:
@@ -200,21 +203,13 @@ class PresentationSpec(_Value):
     __slots__ = _fields = ("degree", "subset")
 
     def __init__(self, degree: int, subset: Iterable[int] | str = "full") -> None:
+        _check_degree(degree)
+        lengths = frozenset(range(2, degree + 1))
+        subset = lengths if subset == "full" else frozenset(subset)
+        if not subset <= lengths:
+            bad = sorted(subset - lengths)
+            raise ValueError(f"interval lengths {bad} lie outside [2, {degree}]")
         _setfield(self, "degree", degree)
-        _setfield(self, "subset", subset)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if type(self.degree) is not int or self.degree < 2:
-            raise ValueError(f"degree must be an int of at least 2, got {self.degree!r}")
-        subset = self.subset
-        if subset == "full":
-            subset = frozenset(range(2, self.degree + 1))
-        else:
-            subset = frozenset(subset)
-        if not subset <= set(range(2, self.degree + 1)):
-            bad = sorted(subset - set(range(2, self.degree + 1)))
-            raise ValueError(f"interval lengths {bad} lie outside [2, {self.degree}]")
         _setfield(self, "subset", subset)
 
     def generators(self) -> list[Generator]:

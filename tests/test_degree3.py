@@ -211,13 +211,13 @@ def test_canonicalize_equals_the_fold_of_letter_forms(w):
 def test_evaluate_word_builds_one_affine_map(monkeypatch):
     w = Word(3, tuple(all_generators(3)) * 3_000)
     built = []
-    check = AffineMap.__post_init__
+    check = AffineMap.__init__
 
-    def counting(self):
+    def counting(self, sign, shift):
         built.append(self)
-        check(self)
+        check(self, sign, shift)
 
-    monkeypatch.setattr(AffineMap, "__post_init__", counting)
+    monkeypatch.setattr(AffineMap, "__init__", counting)
     assert evaluate_word(w) == AFFINE_IDENTITY
     assert len(built) == 1
 

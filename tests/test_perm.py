@@ -98,13 +98,13 @@ def test_project_and_is_pure_validate_one_permutation(monkeypatch):
     w = Word(4, tuple(gens[i % len(gens)] for i in range(10_000)))
     expected = project_by_fold(w)
     validated = []
-    check = Permutation.__post_init__
+    check = Permutation.__init__
 
-    def counting(self):
+    def counting(self, images):
         validated.append(self)
-        check(self)
+        check(self, images)
 
-    monkeypatch.setattr(Permutation, "__post_init__", counting)
+    monkeypatch.setattr(Permutation, "__init__", counting)
     assert project(w) == expected
     assert len(validated) == 1
     validated.clear()

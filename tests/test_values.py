@@ -106,6 +106,16 @@ def test_copy_deepcopy_and_pickle_keep_the_value(cls, fields, text):
         assert twin == value and hash(twin) == hash(value)
 
 
+def test_sequence_fields_are_stored_as_tuples():
+    chamber = Chamber([1, 2, 3])
+    assert chamber == C0 and hash(chamber) == hash(C0)
+    assert Report(2, ["FAIL a"]).merged(Report(1, ("x",))) == Report(3, ("FAIL a", "x"))
+    assert DualComplex([C0], [(C0, C0)]) == DualComplex((C0,), ((C0, C0),))
+    graph = build_window("J3_2", 1)
+    rebuilt = CayleyGraph(graph.group, graph.radius, list(graph.vertices), list(graph.edges))
+    assert rebuilt == graph and hash(rebuilt) == hash(graph)
+
+
 def test_copies_of_built_values_keep_working():
     for value in (build_window("J3", 2), build_dual_complex(), Word(3, (S12, S12))):
         assert pickle.loads(pickle.dumps(value)) == value

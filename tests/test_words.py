@@ -91,9 +91,9 @@ def test_parse_word_builds_one_generator_per_distinct_token(monkeypatch):
     class CountingGenerator(Generator):
         built = 0
 
-        def __post_init__(self):
+        def __init__(self, p, q, n):
             CountingGenerator.built += 1
-            super().__post_init__()
+            super().__init__(p, q, n)
 
     monkeypatch.setattr(words, "Generator", CountingGenerator)
     w = parse_word(" ".join(("s1,2", "s2,3", "s1,3")[i % 3] for i in range(1_000)), 3)
