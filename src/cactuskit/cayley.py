@@ -39,7 +39,7 @@ class CayleyGraph(_Value):
         _setfield(self, "group", group)
         _setfield(self, "radius", radius)
         _setfield(self, "vertices", tuple(vertices))
-        _setfield(self, "edges", tuple(edges))
+        _setfield(self, "edges", tuple(map(tuple, edges)))
 
     def degree_of(self, v: CanonicalForm) -> int:
         """Number of edges at v: one per generator whose product with v stays

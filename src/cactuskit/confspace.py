@@ -122,7 +122,7 @@ class DualComplex(_Value):
         self, vertices: tuple[Chamber, ...], edges: tuple[tuple[Chamber, Chamber], ...]
     ) -> None:
         _setfield(self, "vertices", tuple(vertices))
-        _setfield(self, "edges", tuple(edges))
+        _setfield(self, "edges", tuple(map(tuple, edges)))
 
     def degree_of(self, c: Chamber) -> int:
         return sum(c in e for e in self.edges)

@@ -11,18 +11,19 @@ reverses the index interval [p, q].  Three relation families hold:
   passing it).
 
 This module holds the word container, single-step moves for each relation,
-and a search oracle over those moves; the relation patterns live in one move
-table over ``(p, q)`` pairs.  The search is a bidirectional breadth-first
-search over strings with one character per letter, and its node budget
-counts the expansions of both sides.  It answers only "equal" or "unknown":
-it never claims two words are distinct.  Exact equality is available at
-degree 3 through the canonical form in ``degree3``.
+and an equality oracle over those moves; the relation patterns live in one
+move table over ``(p, q)`` pairs.  The oracle reduces w1 w2^-1: it pushes
+every ``s1,n`` to the right end, reflecting the letters it passes, and
+shuffles each other letter leftwards by commutes and nestings until it
+cancels or meets an overlapping letter.  Its node budget counts those swap
+moves, at any degree.  It answers only "equal" or "unknown": it never claims
+two words are distinct.  Exact equality is available at degree 3 through the
+canonical form in ``degree3``.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from functools import total_ordering
 from itertools import chain
 from typing import Iterable, Iterator, Literal
@@ -246,56 +247,46 @@ def _pairs(letters: Iterable[Generator]) -> tuple[tuple[int, int], ...]:
     return tuple((g.p, g.q) for g in letters)
 
 
-# chr() has this many code points; n(n-1)/2 generators outgrow it at degree 1,494.
-_CODES = 0x110000
+def _reduce(
+    letters: Iterable[tuple[int, int]], n: int, budget: int
+) -> tuple[list[tuple[int, int]], bool] | None:
+    """Rewrite a degree-n word, given as (p, q) pairs, as ``stack`` times
+    ``s1,n`` to the power ``odd``, by ``_moves`` alone.
 
-
-class _Alphabet(dict):
-    """Degree n's words as strings with one character per letter: s_{p,q} is
-    ``chr(i)`` for its index i in ``all_generators(n)``.  A ``str`` caches its
-    hash, so the search's ``seen`` lookups do not re-hash every letter.
-
-    As a dict, it maps each adjacent two-letter string to its encoded
-    ``_moves`` replacements, filled on first use: the full table would have
-    n^2(n-1)^2/4 entries.
+    Each ``s1,n`` toggles the parity, and the letters after an odd count are
+    reflected through it (s1,n x = x' s1,n).  Every other letter then shuffles
+    leftwards through the stack by the swap ``_moves`` gives for each adjacent
+    pair (a commute, or a nesting either way) until it cancels with an equal
+    letter or stops at an overlapping one.  Returns None instead of making
+    swap number ``budget + 1``.
     """
-
-    def __init__(self, n: int) -> None:
-        if n * (n - 1) // 2 > _CODES:
-            raise ValueError(
-                f"degree {n} has {n * (n - 1) // 2} generators, more than the "
-                f"{_CODES} one-character letter codes"
-            )
-        super().__init__()
-        self.n = n
-        self.pairs = [(p, q) for p in range(1, n) for q in range(p + 1, n + 1)]
-        self.squares = [chr(i) * 2 for i in range(len(self.pairs))]
-
-    def __missing__(self, two: str) -> list[str]:
-        moves = _moves(self.pairs[ord(two[0])], self.pairs[ord(two[1])])
-        self[two] = replacements = [self.encode(r) for _, r in moves]
-        return replacements
-
-    def encode(self, pairs: Iterable[tuple[int, int]]) -> str:
-        n = self.n
-        return "".join([chr((p - 1) * (2 * n - p) // 2 + q - p - 1) for p, q in pairs])
-
-    def decode(self, word: str) -> Word:
-        return Word.from_pairs(self.n, [self.pairs[ord(c)] for c in word])
-
-
-def _rewrites(alphabet: _Alphabet, word: str, max_length: int) -> list[str]:
-    """Every word one relation move away from ``word``, possibly repeated;
-    square insertions only while the result stays within ``max_length``."""
-    out = [
-        word[:i] + replacement + word[i + 2 :]
-        for i in range(len(word) - 1)
-        for replacement in alphabet[word[i : i + 2]]
-    ]
-    if len(word) + 2 <= max_length:
-        cuts = [(word[:i], word[i:]) for i in range(len(word) + 1)]
-        out += [head + square + tail for square in alphabet.squares for head, tail in cuts]
-    return out
+    top = (1, n)
+    stack: list[tuple[int, int]] = []
+    odd = False
+    swaps = 0
+    for x in letters:
+        if x == top:
+            odd = not odd
+            continue
+        if odd:
+            x = next(_moves(top, x))[1][0]
+        i = len(stack)
+        while i:
+            move, swapped = next(_moves(stack[i - 1], x), ("overlap", ()))
+            if move == "cancel":
+                del stack[i - 1]
+                break
+            if move == "overlap":
+                stack.insert(i, x)
+                break
+            if swaps >= budget:
+                return None
+            swaps += 1
+            i -= 1
+            x, stack[i] = swapped
+        else:
+            stack.insert(0, x)
+    return stack, odd
 
 
 def _rewrite(w: Word, i: int, move: str, mismatch: str | None) -> Word:
@@ -340,9 +331,17 @@ def neighbors(w: Word, max_length: int) -> set[Word]:
     """
     if type(max_length) is not int:
         raise ValueError(f"max_length must be an int, got {max_length!r}")
-    alphabet = _Alphabet(w.degree)
-    found = set(_rewrites(alphabet, alphabet.encode(_pairs(w)), max_length))
-    return {alphabet.decode(word) for word in found}
+    letters = _pairs(w)
+    found = {
+        letters[:i] + replacement + letters[i + 2 :]
+        for i in range(len(letters) - 1)
+        for _, replacement in _moves(letters[i], letters[i + 1])
+    }
+    if len(letters) + 2 <= max_length:
+        squares = [(g, g) for g in _pairs(all_generators(w.degree))]
+        cuts = [(letters[:i], letters[i:]) for i in range(len(letters) + 1)]
+        found.update(head + square + tail for square in squares for head, tail in cuts)
+    return {Word.from_pairs(w.degree, pairs) for pairs in found}
 
 
 def equal_by_search(
@@ -351,15 +350,15 @@ def equal_by_search(
     length_cap: int | None = None,
     node_budget: int = 20_000,
 ) -> Literal["equal", "unknown"]:
-    """Bidirectional breadth-first equality oracle over the single-step moves.
+    """Equality oracle over the single-step moves, by reducing w1 w2^-1.
 
-    One search runs from each word, over strings with one character per
-    letter; each step expands a word from the side with the smaller
-    frontier.  Returns "equal" as soon as one side reaches a word the other
-    has seen, and "unknown" when either frontier runs dry or after
-    ``node_budget`` expansions, counted over both sides.  Every move is
-    undone by another within the length cap, so a meeting is a rewrite path
-    from w1 to w2.
+    Every generator is an involution, so w2^-1 is w2 reversed.  ``_reduce``
+    rewrites w1 followed by w2 reversed through relation moves; the words are
+    equal when they are identical, or when nothing is left and the ``s1,n``
+    count is even.  Returns "unknown" otherwise, and once the reduction would
+    make more than ``node_budget`` swap moves.  ``length_cap`` is checked but
+    does not change the answer, because the reduction never lengthens a word;
+    it stays for callers that pass it.
     """
     if w1.degree != w2.degree:
         raise DegreeMismatchError("cannot compare words of different degrees")
@@ -367,29 +366,11 @@ def equal_by_search(
         raise ValueError(f"length_cap must be None or an int, got {length_cap!r}")
     if type(node_budget) is not int:
         raise ValueError(f"node_budget must be an int, got {node_budget!r}")
-    alphabet = _Alphabet(w1.degree)
-    if length_cap is None:
-        length_cap = max(len(w1), len(w2)) + 4
-    start, goal = alphabet.encode(_pairs(w1)), alphabet.encode(_pairs(w2))
+    start, goal = _pairs(w1), _pairs(w2)
     if start == goal:
         return "equal"
-    seen, other_seen = {start}, {goal}
-    frontier, other_frontier = deque([start]), deque([goal])
-    for _ in range(node_budget):
-        if len(other_frontier) < len(frontier):
-            seen, other_seen = other_seen, seen
-            frontier, other_frontier = other_frontier, frontier
-        if not frontier:
-            return "unknown"
-        # The new words in first-seen order, each marked seen as it is kept
-        # (set.add returns None); the order makes every run expand alike.
-        add = seen.add
-        rewrites = _rewrites(alphabet, frontier.popleft(), length_cap)
-        found = [nb for nb in rewrites if nb not in seen and not add(nb)]
-        if not other_seen.isdisjoint(found):
-            return "equal"
-        frontier.extend(found)
-    return "unknown"
+    reduced = _reduce(chain(start, reversed(goal)), w1.degree, node_budget)
+    return "equal" if reduced == ([], False) else "unknown"
 
 
 def relation_instances(n: int) -> Iterator[tuple[str, Word, Word]]:

@@ -111,9 +111,14 @@ def test_sequence_fields_are_stored_as_tuples():
     assert chamber == C0 and hash(chamber) == hash(C0)
     assert Report(2, ["FAIL a"]).merged(Report(1, ("x",))) == Report(3, ("FAIL a", "x"))
     assert DualComplex([C0], [(C0, C0)]) == DualComplex((C0,), ((C0, C0),))
+    listed = DualComplex([C0], [[C0, C0]])
+    assert listed == DualComplex((C0,), ((C0, C0),))
+    assert hash(listed) == hash(DualComplex((C0,), ((C0, C0),)))
     graph = build_window("J3_2", 1)
     rebuilt = CayleyGraph(graph.group, graph.radius, list(graph.vertices), list(graph.edges))
     assert rebuilt == graph and hash(rebuilt) == hash(graph)
+    listed = CayleyGraph(graph.group, graph.radius, graph.vertices, [list(e) for e in graph.edges])
+    assert listed == graph and hash(listed) == hash(graph)
 
 
 def test_copies_of_built_values_keep_working():

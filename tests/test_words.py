@@ -1,12 +1,11 @@
 import random
-import sys
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cactuskit.words as words
-from cactuskit.degree3 import canonicalize
+from cactuskit.degree3 import canonicalize, to_word
 from cactuskit.perm import project
 from cactuskit.words import (
     DegreeMismatchError,
@@ -260,7 +259,7 @@ def test_equal_by_search():
 @st.composite
 def search_queries(draw):
     """Two words a few reference moves apart, or two unrelated words."""
-    n, start = draw(degree_and_pairs(degrees=(3, 4), max_size=5))
+    n, start = draw(degree_and_pairs(degrees=(3, 4, 5, 6), max_size=5))
     end = start
     for _ in range(draw(st.integers(0, 3))):
         end = draw(st.sampled_from(sorted(_reference_neighbors(end, n, len(end) + 2))))
@@ -277,6 +276,28 @@ def test_search_equal_is_sound(query):
         if w1.degree == 3:
             assert canonicalize(w1) == canonicalize(w2)
         assert project(w1) == project(w2)
+
+
+def test_every_relation_instance_is_equal():
+    for n in range(2, 9):
+        for family, lhs, rhs in relation_instances(n):
+            assert equal_by_search(lhs, rhs) == "equal", (family, str(lhs), str(rhs))
+
+
+@st.composite
+def degree_3_pairs(draw):
+    """Two random words, or a word and a respelling of the same element."""
+    w1, w2 = draw(words_of(3, max_size=9)), draw(words_of(3, max_size=9))
+    if draw(st.booleans()):
+        w2 = concat(w2, Word(3, reversed(w2.letters)), to_word(canonicalize(w1)))
+    return w1, w2
+
+
+@settings(deadline=None, max_examples=300)
+@given(degree_3_pairs())
+def test_search_decides_degree_3_exactly(query):
+    w1, w2 = query
+    assert (equal_by_search(w1, w2) == "equal") == (canonicalize(w1) == canonicalize(w2))
 
 
 def _reference_search(w1, w2, length_cap=None, node_budget=20_000):
@@ -349,31 +370,23 @@ def test_search_decides_what_the_one_sided_search_decides():
     assert reference.count("equal") < ours.count("equal") == len(pairs) == 42
 
 
-def test_search_expansions_stay_within_the_budget(monkeypatch):
-    expansions = 0
-    rewrites = words._rewrites
-
-    def counting(*args):
-        nonlocal expansions
-        expansions += 1
-        return rewrites(*args)
-
-    monkeypatch.setattr(words, "_rewrites", counting)
-    # Distinct (m = -2 against m = -1); both components outgrow every budget here.
-    w, longer = w3("s1,2 s1,3 s2,3 s1,2 s2,3 s1,3"), w3("s1,2 s1,3 s2,3 s1,2 s2,3 s1,3 s1,2")
-    for budget in (0, 1, 50, 300):
-        expansions = 0
-        assert equal_by_search(w, longer, node_budget=budget) == "unknown"
-        assert expansions == budget
-    # A frontier that runs dry stops the search before the budget.
-    expansions = 0
-    assert equal_by_search(w3("s1,2"), w3("s2,3"), node_budget=300) == "unknown"
-    assert expansions == 69
-    for a, b in _known_equal_pairs(2, count_per_kind=1):
-        for budget in (1, 5, 300):
-            expansions = 0
-            equal_by_search(a, b, node_budget=budget)
-            assert expansions <= budget
+def test_search_budget_counts_swap_moves():
+    # s1,2 commutes leftwards past k letters that overlap each other and do
+    # not swap among themselves: k swaps, after which every letter cancels.
+    chain = [(3, 4), (4, 5)] * 3
+    for k in range(len(chain) + 1):
+        w1 = Word.from_pairs(5, chain[:k] + [(1, 2)])
+        w2 = Word.from_pairs(5, [(1, 2)] + chain[:k])
+        assert equal_by_search(w1, w2, node_budget=k) == "equal"
+        if k:
+            assert equal_by_search(w1, w2, node_budget=k - 1) == "unknown"
+    # One nesting swap in either direction.
+    for a, b in [("s1,3 s1,2", "s2,3 s1,3"), ("s1,2 s1,3", "s1,3 s2,3")]:
+        assert equal_by_search(w4(a), w4(b), node_budget=1) == "equal"
+        assert equal_by_search(w4(a), w4(b), node_budget=0) == "unknown"
+    # Identical words need no move at all.
+    for a, _ in _known_equal_pairs(2, count_per_kind=1):
+        assert equal_by_search(a, a, node_budget=0) == "equal"
 
 
 def test_search_argument_checks():
@@ -390,27 +403,18 @@ def test_search_argument_checks():
         equal_by_search(a, w4("s1,2"), length_cap=2.5)
 
 
-def test_search_refuses_degrees_past_the_letter_codes(monkeypatch):
-    # One character per letter: chr has sys.maxunicode + 1 codes, enough for
-    # the n(n-1)/2 generators up to degree 1,493 and not at 1,494.
-    assert words._CODES == sys.maxunicode + 1
-    assert 1493 * 1492 // 2 <= words._CODES < 1494 * 1493 // 2
-    monkeypatch.setattr(words, "_rewrites", None)  # no search may start
-    w = Word(1494, (Generator(1, 2, 1494),))
-    message = "degree 1494 has 1115271 generators, more than the 1114112 one-character letter codes"
-    for call in (lambda: equal_by_search(w, w), lambda: neighbors(w, 3)):
-        with pytest.raises(ValueError) as info:
-            call()
-        assert str(info.value) == message
-    with pytest.raises(DegreeMismatchError):
-        equal_by_search(w, w3("s1,2"))
-    # The bound is the only limit: with fewer codes, degree 4 is refused
-    # and degree 3 still searches.
-    monkeypatch.undo()
-    monkeypatch.setattr(words, "_CODES", 5)
-    with pytest.raises(ValueError, match="degree 4 has 6 generators"):
-        equal_by_search(w4("s1,2"), w4("s1,2"))
-    assert equal_by_search(w3("s1,2 s1,2"), Word(3)) == "equal"
+def test_search_has_no_degree_limit():
+    # From degree 1,494 on, the generators outnumber the Unicode code points.
+    for n in (1494, 2000):
+        for p, q in [(1, n), (2, n - 1)]:
+            outer = Word.from_pairs(n, [(p, q), (3, 5)])
+            inner = Word.from_pairs(n, [(p + q - 5, p + q - 3), (p, q)])
+            assert equal_by_search(outer, inner) == "equal"
+            assert equal_by_search(outer, Word(n)) == "unknown"
+            assert neighbors(outer, 2) == {inner}
+            assert outer in neighbors(inner, 2)
+        with pytest.raises(DegreeMismatchError):
+            equal_by_search(outer, w3("s1,2"))
 
 
 def test_search_moves_never_change_the_element():
