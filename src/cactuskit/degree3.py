@@ -20,7 +20,11 @@ Alternating parts compose by one parity rule: index m1 followed by index m2
 has index m1 - m2 when m1 is odd and m1 + m2 when m1 is even.  An odd part
 is a reflection, so it reverses the part that follows it (s12 and s23 swap
 roles, which negates m2); an even part is a translation and leaves it as it
-is.
+is.  Folded over a word's letters, the rule has a closed form, which
+``canonicalize`` computes: m is the alternating sum over letter positions i,
+counting every letter, of (-1)^i times +1 for s12 and -1 for s23; each s13
+adds 0 and flips eps.  ``test_canonicalize_equals_the_fold_of_letter_forms``
+pins that the two agree.
 
 An independent cross-check lives in ``AffineMap``: the degree-3 group is
 faithfully modeled by integer maps x -> sign*x + shift with s12: x -> -x,
@@ -82,14 +86,17 @@ def canonicalize(w: Word) -> CanonicalForm:
     """Unique (m, eps) coordinates of a degree-3 word."""
     if w.degree != 3:
         raise DegreeMismatchError(f"canonical form is degree-3 only, got degree {w.degree}")
-    m = 0
-    eps = 0
-    # At degree 3, q - p == 2 only for s13; among s12 and s23, p == 1 only for s12.
+    # The parity-rule fold in closed form (see the module docstring): 4 - p - q
+    # is +1, -1 and 0 for s12, s23 and s13, and each s13 flips eps.
+    m = eps = 0
+    sign = 1
     for g in w.letters:
-        if g.q - g.p == 2:
-            eps ^= 1
+        t = 4 - g.p - g.q
+        if t:
+            m += sign * t
         else:
-            m = _alt_concat(m, 1 if (g.p == 1) != bool(eps) else -1)
+            eps ^= 1
+        sign = -sign
     return CanonicalForm(m, eps)
 
 
@@ -171,32 +178,30 @@ class AffineMap(_Value):
 
 AFFINE_IDENTITY = AffineMap(1, 0)
 
-_AFFINE_OF_GENERATOR = {
-    _S12: AffineMap(-1, 0),
-    _S13: AffineMap(-1, 1),
-    _S23: AffineMap(-1, 2),
-}
+# Each generator's image in the affine model as (sign, shift), indexed by
+# p + q: 3, 4 and 5 for s12, s13 and s23.
+_AFFINE_BY_SUM = (None, None, None, (-1, 0), (-1, 1), (-1, 2))
 
 
 def affine_model(g: Generator) -> AffineMap:
     """Image of a degree-3 generator in the affine model."""
     if g.n != 3:
         raise DegreeMismatchError(f"affine model is degree-3 only, got degree {g.n}")
-    return _AFFINE_OF_GENERATOR[g]
+    return AffineMap(*_AFFINE_BY_SUM[g.p + g.q])
 
 
 def evaluate_word(w: Word) -> AffineMap:
     """Image of a degree-3 word in the affine model, leftmost letter first.
 
-    Folds ``AffineMap.then`` over the letters' images in
-    ``_AFFINE_OF_GENERATOR`` as two ints, (sign, shift), and builds one
-    ``AffineMap`` at the end.  It reads nothing but that table, so it stays
-    independent of the (m, eps) arithmetic it audits.
+    Folds ``AffineMap.then`` over the letters' images in ``_AFFINE_BY_SUM``,
+    the (sign, shift) table indexed by a letter's p + q, as two ints, and
+    builds one ``AffineMap`` at the end.  It reads nothing but that table, so
+    it stays independent of the (m, eps) arithmetic it audits.
     """
     if w.degree != 3:
         raise DegreeMismatchError(f"affine model is degree-3 only, got degree {w.degree}")
     sign, shift = 1, 0
     for g in w.letters:
-        a = _AFFINE_OF_GENERATOR[g]
-        sign, shift = sign * a.sign, a.sign * shift + a.shift
+        a_sign, a_shift = _AFFINE_BY_SUM[g.p + g.q]
+        sign, shift = sign * a_sign, a_sign * shift + a_shift
     return AffineMap(sign, shift)

@@ -68,19 +68,21 @@ def interval_reversal(p: int, q: int, n: int) -> Permutation:
 def project(w: Word) -> Permutation:
     """Image of a word under the projection onto permutations.
 
-    ``pos[j - 1]`` is the label that the product so far sends to position j.
-    Following that product by s_{p,q} sends the label at position j to
-    position p + q - j, which reverses ``pos[p - 1:q]``.  The fold is therefore
+    ``pos[j]`` is the label that the product so far sends to position j
+    (``pos[0]`` stays 0, a stop for the slice read when p == 1).  Following
+    that product by s_{p,q} sends the label at position j to position
+    p + q - j, which reverses ``pos[p:q + 1]``.  The fold is therefore
     ``Permutation.identity(n).then(interval_reversal(p, q, n))...`` over the
-    letters, at O(n) int work per letter and one ``Permutation`` per call.
+    letters, at O(q - p + 1) int work per letter and one ``Permutation`` per call.
     """
-    pos = list(range(1, w.degree + 1))
+    pos = list(range(w.degree + 1))
     for g in w.letters:
-        pos[g.p - 1 : g.q] = pos[g.p - 1 : g.q][::-1]
-    images = [0] * w.degree
-    for j, label in enumerate(pos, start=1):
-        images[label - 1] = j
-    return Permutation(tuple(images))
+        p = g.p
+        pos[p : g.q + 1] = pos[g.q : p - 1 : -1]
+    images = [0] * (w.degree + 1)
+    for j, label in enumerate(pos):
+        images[label] = j
+    return Permutation(tuple(images[1:]))
 
 
 def is_pure(w: Word) -> bool:

@@ -38,11 +38,9 @@ class _Value:
     in the slots named in ``_fields`` through ``_setfield``, sequences as
     tuples.  A value equals and hashes as the values of its class with equal
     fields (``_Ordered`` ones also order by them), and copies through
-    ``__init__``.  Three classes write ``__eq__`` and ``__hash__`` out, because
-    a workload calls them per letter or per case: ``Generator`` (the dict
-    lookup per letter in ``evaluate_word``), ``CanonicalForm`` (the sweeps'
-    comparisons and the Cayley windows' sets) and ``AffineMap`` (the oracle's
-    dicts)."""
+    ``__init__``.  Two classes write ``__eq__`` and ``__hash__`` out, because
+    a workload calls them per case: ``CanonicalForm`` (the sweeps' comparisons
+    and the Cayley windows' sets) and ``AffineMap`` (the oracle's dicts)."""
 
     __slots__ = ()
 
@@ -109,14 +107,6 @@ class Generator(_Ordered):
         _setfield(self, "q", q)
         _setfield(self, "n", n)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.n))
-
     def __str__(self) -> str:
         return f"s{self.p},{self.q}"
 
@@ -160,7 +150,7 @@ class Word(_Value):
         return " ".join(str(g) for g in self.letters)
 
 
-_TOKEN = re.compile(r"s(\d+),(\d+)\Z")
+_TOKEN = re.compile(r"s(\d+),(\d+)\Z", re.ASCII)
 
 
 def parse_word(text: str, degree: int = 3) -> Word:

@@ -5,6 +5,7 @@ Each test prints one `criterion NN <name>: PASS/FAIL` line (visible with
 wall-clock budget.
 """
 
+import random
 import subprocess
 import sys
 import time
@@ -165,3 +166,20 @@ def test_criterion_10_negative_control():
         assert proc.stdout.splitlines()[-1].startswith("FAIL ")
 
     _check(10, "perturbed map is caught", 1, body)
+
+
+def test_criterion_11_projection_at_the_degree_cap():
+    # 50,000 random letters at degree 1,000, the CLI's --n cap.  Reversing one
+    # block per letter takes about 0.17 s per call on a 2-vCPU Xeon VM; a
+    # whole-array step per letter takes seconds.
+    rng = random.Random(11)
+    pairs = [tuple(sorted(rng.sample(range(1, 1001), 2))) for _ in range(50_000)]
+    w = Word.from_pairs(1000, pairs)
+    there_and_back = Word(1000, w.letters + w.letters[::-1])
+
+    def body():
+        assert not project(w).is_identity()
+        assert not is_pure(w)
+        assert is_pure(there_and_back)
+
+    _check(11, "projection at the degree cap", 1.5, body)

@@ -35,10 +35,11 @@ def test_normalize_higher_degree_reduces_freely(capsys):
 
 
 def test_normalize_parse_error(capsys):
-    code, out, err = run_cli(capsys, "normalize", "s1,2 bogus")
-    assert code == 2
-    assert out == ""
-    assert "token 1" in err
+    for word in ("s1,2 bogus", "s1,2 s\u0661,\u0662"):
+        code, out, err = run_cli(capsys, "normalize", word)
+        assert code == 2
+        assert out == ""
+        assert "token 1" in err
 
 
 def test_word_required_unless_stdin(capsys):

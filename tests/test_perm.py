@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -70,8 +71,8 @@ def test_purity_of_powers():
         assert is_pure(w) == (j % 3 == 0)
 
 
-def words_of_degree_2_to_7(max_size=60):
-    return st.integers(min_value=2, max_value=7).flatmap(
+def words_of_degree_2_to_40(max_size=60):
+    return st.integers(min_value=2, max_value=40).flatmap(
         lambda n: st.lists(st.sampled_from(all_generators(n)), max_size=max_size).map(
             lambda letters: Word(n, tuple(letters))
         )
@@ -86,11 +87,25 @@ def project_by_fold(w):
     return acc
 
 
-@given(words_of_degree_2_to_7())
+@given(words_of_degree_2_to_40())
 def test_project_equals_the_fold_of_interval_reversals(w):
     expected = project_by_fold(w)
     assert project(w) == expected
     assert is_pure(w) == expected.is_identity()
+
+
+def test_project_equals_the_fold_at_degree_1000():
+    # s1,1000 and s1,2 reverse blocks that start at position 1, and s1,1000
+    # and s999,1000 blocks that end at position n.
+    edges = [(1, 1000), (1, 2), (999, 1000), (500, 501)]
+    rng = random.Random(13)
+    middle = [tuple(sorted(rng.sample(range(1, 1001), 2))) for _ in range(200)]
+    w = Word.from_pairs(1000, edges + middle + edges[::-1] + edges)
+    expected = project_by_fold(w)
+    assert not expected.is_identity()
+    assert project(w) == expected
+    assert is_pure(w) is False
+    assert is_pure(Word.from_pairs(1000, edges + edges[::-1]))
 
 
 def test_project_and_is_pure_validate_one_permutation(monkeypatch):

@@ -74,6 +74,9 @@ def test_parse_word_edge_cases():
         ("s1,2 s3,4 s3,4", 3, "token 1: s3,4 is not a generator at degree 3"),
         ("s1,2 s1,2 x", 3, "token 2: 'x' is not of the form s<p>,<q>"),
         ("s1,2 s1,2 s1,2,", 3, "token 2: 's1,2,' is not of the form s<p>,<q>"),
+        # Arabic-Indic and fullwidth digits: int() reads them, the text form does not.
+        ("s\u0661,\u0662", 3, "token 0: 's\u0661,\u0662' is not of the form s<p>,<q>"),
+        ("s\uff11,\uff12", 3, "token 0: 's\uff11,\uff12' is not of the form s<p>,<q>"),
         ("s1,2", True, "token 0: s1,2 is not a generator at degree True"),
         ("s1,2", 2.0, "token 0: s1,2 is not a generator at degree 2.0"),
     ]
