@@ -149,14 +149,19 @@ def check_equivariance(
     k_range: Iterable[int],
     phi: CoverMap = cover_to_group,
 ) -> Iterator[str | None]:
-    """Deck shift then phi must equal phi then the pure action."""
+    """Deck shift then phi must equal phi then the pure action.
+
+    ``phi`` maps each vertex once, before the shifts, and each case acts by
+    the shift's pure power on that image; the shifted vertex is mapped per case.
+    """
     vs = [CoverVertex(label, k) for k in k_range for label in COVER_LABELS]
+    images = [phi(v) for v in vs]
     for j in j_range:
         g = PureElement(j)
         d = DeckElement(j)
-        for v in vs:
+        for v, image in zip(vs, images):
             lhs = phi(deck_act(d, v))
-            rhs = pure_action(g, phi(v))
+            rhs = pure_action(g, image)
             yield f"FAIL j={j} v={v} lhs={lhs} rhs={rhs}" if lhs != rhs else None
 
 
@@ -164,12 +169,18 @@ def check_equivariance(
 def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[str | None]:
     """Identity and compatibility axioms of the pure action.
 
-    The action of one element on every ``h`` is a row, built by
-    ``pure_action`` the first time the element appears as ``g12`` or ``g2``
-    and reused after: |k|^2 pairs have at most 2|k| - 1 distinct products.
-    ``pure_action`` is a function of its arguments, so a reused row holds
-    what calling it again would return; each case still acts by ``g1`` on
-    its inner value, and each pair still multiplies through ``mul``.
+    Each case compares ``g12`` acting on ``h`` (lhs) with ``g1`` acting on
+    ``g2``'s image of ``h`` (rhs), in ``product`` order of (g1, g2) and then
+    ``h``.  ``pure_action`` is a function of its arguments, so each value is
+    computed once and looked up after:
+
+    - the action of one element on every ``h`` is a row, built the first time
+      the element appears as ``g12`` or ``g2`` and dropped after the last pair
+      that reads it: |k|^2 pairs have at most 2|k| - 1 distinct products;
+    - ``g1``'s action is kept by inner value while ``g1`` is current: its
+      inner values span at most |m| + 3(|k| - 1) indices, where its cases
+      number |k| |m|.  Where the action agrees with the case's lhs, the memo
+      holds that lhs rather than a second equal value.
     """
     gs = [PureElement(k) for k in k_range]
     hs = [CanonicalForm(m, 0) for m in m_range]
@@ -177,15 +188,35 @@ def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Iter
     for h in hs:
         got = pure_action(e, h)
         yield f"FAIL identity m={h.m} got={got}" if got != h else None
+    products = [
+        PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
+        for g1, g2 in product(gs, gs)
+    ]
+    last = {}  # element -> index of the last pair that reads its row
+    for n, ((_, g2), g12) in enumerate(zip(product(gs, gs), products)):
+        last[g12] = last[g2] = n
     rows = {}
-    for g1, g2 in product(gs, gs):
-        g12 = PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
-        for g in (g12, g2):
-            if g not in rows:
-                rows[g] = [pure_action(g, h) for h in hs]
-        for h, lhs, inner in zip(hs, rows[g12], rows[g2]):
-            rhs = pure_action(g1, inner)
-            yield f"FAIL k1={g1.k} k2={g2.k} m={h.m} lhs={lhs} rhs={rhs}" if lhs != rhs else None
+    n = 0
+    for g1 in gs:
+        # g1's action on each inner value, by its eps and then its m: int keys
+        # hash in C, where a CanonicalForm key would call its Python __hash__.
+        acted = ({}, {})
+        for g2 in gs:
+            g12 = products[n]
+            for g in (g12, g2):
+                if g not in rows:
+                    rows[g] = [pure_action(g, h) for h in hs]
+            for h, lhs, inner in zip(hs, rows[g12], rows[g2]):
+                seen = acted[inner.eps]
+                rhs = seen.get(inner.m)
+                if rhs is None:
+                    rhs = pure_action(g1, inner)
+                    seen[inner.m] = lhs if rhs == lhs else rhs
+                yield f"FAIL k1={g1.k} k2={g2.k} m={h.m} lhs={lhs} rhs={rhs}" if lhs != rhs else None
+            for g in (g12, g2):
+                if last[g] == n:
+                    rows.pop(g, None)
+            n += 1
 
 
 @_sweep
@@ -233,9 +264,9 @@ def check_isomorphism(k_range: Iterable[int]) -> Iterator[str | None]:
         yield f"FAIL k1={k1} k2={k2} lhs=j{lhs.j} rhs=j{rhs.j}" if lhs != rhs else None
 
 
-def _oracle_walk(max_len: int) -> Iterator[tuple[list[int], CanonicalForm, AffineMap]]:
-    """Every degree-3 word of length 0..max_len as (path, form, map), the
-    lengths in turn and each in ``product`` order.
+def _oracle_walk(max_len: int) -> Iterator[tuple[list[int], int, CanonicalForm, AffineMap]]:
+    """Every degree-3 word of length 0..max_len as (path, pair, form, map),
+    the lengths in turn and each in ``product`` order.
 
     A depth-first walk over the prefix tree extends a prefix's canonical form
     by ``mul`` and its affine map by ``then`` with the next letter's images, so
@@ -244,11 +275,11 @@ def _oracle_walk(max_len: int) -> Iterator[tuple[list[int], CanonicalForm, Affin
     is the walk's own list, valid until the next step.
 
     Each step is memoised on the (form, map) pair and the letter: a pair gets
-    an id the first time the walk reaches it, and ``mul`` and ``then`` run
-    once per id and letter, not once per prefix.  Both are functions of their
-    arguments, so a memoised step yields what computing it again would; the
-    walk reaches a few dozen pairs, one per group element within the radius
-    when the two models agree.
+    an id, ``pair``, the first time the walk reaches it, and ``mul`` and
+    ``then`` run once per id and letter, not once per prefix.  Both are
+    functions of their arguments, so a memoised step yields what computing it
+    again would; the walk reaches a few dozen pairs, one per group element
+    within the radius when the two models agree.
     """
     steps = [(canonicalize(Word(3, (g,))), affine_model(g)) for g in all_generators(3)]
     pairs = [(IDENTITY, AFFINE_IDENTITY)]  # each distinct (form, map) reached
@@ -260,7 +291,7 @@ def _oracle_walk(max_len: int) -> Iterator[tuple[list[int], CanonicalForm, Affin
         i = 0  # the next letter to try below the current prefix
         while True:
             if len(path) == length:
-                yield path, *pairs[nodes[-1]]
+                yield path, nodes[-1], *pairs[nodes[-1]]
                 i = len(steps)
             if i < len(steps):
                 key = (nodes[-1], i)
@@ -284,19 +315,30 @@ def _oracle_walk(max_len: int) -> Iterator[tuple[list[int], CanonicalForm, Affin
 @_sweep
 def check_oracle(max_len: int = 8) -> Iterator[str | None]:
     """Canonical forms and the affine model induce the same word partition,
-    and every relator evaluates to the identity map."""
+    and every relator evaluates to the identity map.
+
+    A word fails when its form was first seen with another map, or its map
+    with another form.  The first check reads the form's entry, which the
+    first word with that form sets, and the second the map's entry, which the
+    first word with that map to pass the first check sets; so the first word
+    that reaches a (form, map) pair settles the pair's verdict.  Each pair is
+    decided once, and each word that reaches a failing pair gets its own
+    failure line, in walk order.
+    """
     gens = all_generators(3)
     canon_to_affine = {}
     affine_to_canon = {}
-    for path, c, a in _oracle_walk(max_len):
-        if canon_to_affine.setdefault(c, a) != a:
-            w = Word(3, tuple(gens[i] for i in path))
-            yield f"FAIL word={w} canon={c} affine={a} expected={canon_to_affine[c]}"
-        elif affine_to_canon.setdefault(a, c) != c:
-            w = Word(3, tuple(gens[i] for i in path))
-            yield f"FAIL word={w} affine={a} canon={c} expected={affine_to_canon[a]}"
-        else:
-            yield None
+    tails = {}  # pair id -> None when the pair passes, else its failure line after the word
+    for path, pair, c, a in _oracle_walk(max_len):
+        if pair not in tails:
+            if canon_to_affine.setdefault(c, a) != a:
+                tails[pair] = f"canon={c} affine={a} expected={canon_to_affine[c]}"
+            elif affine_to_canon.setdefault(a, c) != c:
+                tails[pair] = f"affine={a} canon={c} expected={affine_to_canon[a]}"
+            else:
+                tails[pair] = None
+        tail = tails[pair]
+        yield None if tail is None else f"FAIL word={Word(3, tuple(gens[i] for i in path))} {tail}"
     for family, lhs, rhs in relation_instances(3):
         relator = Word(3, lhs.letters + tuple(reversed(rhs.letters)))
         broken = evaluate_word(relator) != AFFINE_IDENTITY

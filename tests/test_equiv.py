@@ -169,12 +169,30 @@ def _count_calls(monkeypatch, name):
 
 
 def test_action_axioms_act_once_per_row(monkeypatch):
-    # The default window: 121 identity cases, one action by g1 for each of the
-    # 21 * 21 * 121 compatibility cases, and one row of 121 for each of the
-    # 41 distinct elements among the products g12 and the inner g2.
+    # The default window: 121 identity cases, one row of 121 for each of the
+    # 41 distinct elements among the products g12 and the inner g2, and one
+    # action by each of the 21 g1 on each of the 181 inner indices -90..90,
+    # where the 21 * 21 * 121 compatibility cases would act 53,361 times.
     calls = _count_calls(monkeypatch, "pure_action")
     assert verify_action_axioms(range(-10, 11), range(-60, 61)).ok()
-    assert len(calls) <= 121 + 21 * 21 * 121 + 41 * 121 == 58_443
+    assert len(calls) == 121 + 41 * 121 + 21 * 181 == 8_883
+
+
+def test_action_axioms_memory_stays_below_all_rows():
+    # Two powers and 20,000 indices: the products 10, 11 and 12 and the inner
+    # 5 and 6 make five rows.  Keeping every row beside the window's own
+    # elements would take six rows' worth; dropping each row after its last
+    # pair keeps at most three, plus g1's memo.
+    m_range = range(-20_000, 0)
+    row = len(m_range) * (sys.getsizeof(CanonicalForm(-20_000, 0)) + sys.getsizeof(-20_000) + 8)
+    tracemalloc.start()
+    try:
+        report = verify_action_axioms(range(5, 7), m_range)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok()
+    assert peak < 6 * row
 
 
 def test_oracle_multiplies_once_per_pair_and_letter(monkeypatch):
@@ -230,12 +248,13 @@ def test_check_oracle_small():
     assert report.total == 121 + 5  # words of length <= 4 plus the relators
 
 
-def _break_pure_action(monkeypatch):
-    """Make the action by the first pure power miss the identity by one index."""
+def _break_pure_action(monkeypatch, at=((1, 0),)):
+    """Make the action by each pure power k on the index m miss by one, for
+    each (k, m) in ``at``: by default the first power on the identity."""
 
     def broken(g, h):
         out = pure_action(g, h)
-        return CanonicalForm(out.m + 1, 0) if (g.k, h.m) == (1, 0) else out
+        return CanonicalForm(out.m + 1, 0) if (g.k, h.m) in at else out
 
     monkeypatch.setattr(equiv, "pure_action", broken)
 
@@ -255,6 +274,55 @@ def test_action_axioms_failure_lines(monkeypatch):
     assert report.render() == (
         "FAIL k1=1 k2=1 m=0 lhs=(m=6, eps=0) rhs=(m=7, eps=0)\n"
         "FAIL 1/10"
+    )
+
+
+def test_action_axioms_repeated_failure_lines(monkeypatch):
+    # The broken actions land in the rows (as lhs) and in g1's action on an
+    # inner value (as rhs); k1=1 acts wrongly on the inner values 0 and 3,
+    # which several k2 reach, so one wrong rhs fails several cases.
+    _break_pure_action(monkeypatch, at=((1, 0), (1, 3), (2, -1)))
+    report = verify_action_axioms(range(-1, 3), range(-3, 4))
+    assert report.render() == (
+        "FAIL k1=-1 k2=1 m=0 lhs=(m=0, eps=0) rhs=(m=1, eps=0)\n"
+        "FAIL k1=-1 k2=1 m=3 lhs=(m=3, eps=0) rhs=(m=4, eps=0)\n"
+        "FAIL k1=-1 k2=2 m=-1 lhs=(m=2, eps=0) rhs=(m=3, eps=0)\n"
+        "FAIL k1=-1 k2=2 m=0 lhs=(m=4, eps=0) rhs=(m=3, eps=0)\n"
+        "FAIL k1=-1 k2=2 m=3 lhs=(m=7, eps=0) rhs=(m=6, eps=0)\n"
+        "FAIL k1=1 k2=-1 m=3 lhs=(m=3, eps=0) rhs=(m=4, eps=0)\n"
+        "FAIL k1=1 k2=1 m=-3 lhs=(m=3, eps=0) rhs=(m=4, eps=0)\n"
+        "FAIL k1=1 k2=1 m=-1 lhs=(m=6, eps=0) rhs=(m=5, eps=0)\n"
+        "FAIL k1=1 k2=1 m=0 lhs=(m=6, eps=0) rhs=(m=7, eps=0)\n"
+        "FAIL k1=1 k2=1 m=3 lhs=(m=9, eps=0) rhs=(m=10, eps=0)\n"
+        "FAIL k1=1 k2=2 m=-3 lhs=(m=6, eps=0) rhs=(m=7, eps=0)\n"
+        "FAIL k1=1 k2=2 m=-1 lhs=(m=8, eps=0) rhs=(m=9, eps=0)\n"
+        "FAIL k1=2 k2=-1 m=0 lhs=(m=4, eps=0) rhs=(m=3, eps=0)\n"
+        "FAIL k1=2 k2=-1 m=2 lhs=(m=5, eps=0) rhs=(m=6, eps=0)\n"
+        "FAIL k1=2 k2=-1 m=3 lhs=(m=7, eps=0) rhs=(m=6, eps=0)\n"
+        "FAIL k1=2 k2=1 m=0 lhs=(m=9, eps=0) rhs=(m=10, eps=0)\n"
+        "FAIL k1=2 k2=1 m=3 lhs=(m=12, eps=0) rhs=(m=13, eps=0)\n"
+        "FAIL k1=2 k2=2 m=-1 lhs=(m=11, eps=0) rhs=(m=12, eps=0)\n"
+        "FAIL 18/119"
+    )
+
+
+def test_equivariance_repeated_failure_lines():
+    # phi is wrong on two vertices, so every shift j that lands on one (lhs)
+    # or starts from one (rhs) fails; j=0 still passes.
+    def phi(v):
+        out = cover_to_group(v)
+        return CanonicalForm(out.m + 1, 0) if (v.label, v.k) in (("213", 1), ("132", 0)) else out
+
+    report = check_equivariance(range(-1, 2), range(-1, 2), phi=phi)
+    assert report.render() == (
+        "FAIL j=-1 v=[132]_0 lhs=(m=-4, eps=0) rhs=(m=-3, eps=0)\n"
+        "FAIL j=-1 v=[213]_1 lhs=(m=1, eps=0) rhs=(m=2, eps=0)\n"
+        "FAIL j=-1 v=[132]_1 lhs=(m=0, eps=0) rhs=(m=-1, eps=0)\n"
+        "FAIL j=1 v=[132]_-1 lhs=(m=0, eps=0) rhs=(m=-1, eps=0)\n"
+        "FAIL j=1 v=[213]_0 lhs=(m=5, eps=0) rhs=(m=4, eps=0)\n"
+        "FAIL j=1 v=[132]_0 lhs=(m=2, eps=0) rhs=(m=3, eps=0)\n"
+        "FAIL j=1 v=[213]_1 lhs=(m=7, eps=0) rhs=(m=8, eps=0)\n"
+        "FAIL 7/27"
     )
 
 
@@ -286,7 +354,7 @@ def test_isomorphism_failure_lines(monkeypatch):
 
 def test_oracle_walk_matches_word_by_word():
     gens = all_generators(3)
-    walked = [(tuple(gens[i] for i in path), c, a) for path, c, a in _oracle_walk(7)]
+    walked = [(tuple(gens[i] for i in path), c, a) for path, _, c, a in _oracle_walk(7)]
     expected = [
         (letters, canonicalize(Word(3, letters)), evaluate_word(Word(3, letters)))
         for length in range(8)
@@ -329,6 +397,37 @@ def test_oracle_failure_lines(monkeypatch):
         "expected=(sign=+1, shift=2)\n"
         "FAIL involution relator s1,3 s1,3 =  not respected\n"
         "FAIL 3/18"
+    )
+
+
+def test_oracle_repeated_failure_lines(monkeypatch):
+    # s1,2 s1,2 and s1,3 s1,3 both get the wrong form (m=9) for the identity
+    # map, so both words reach one failing (form, map) pair, and each of its
+    # three extensions is again a pair both words' extensions reach.
+    wrong = {
+        (CanonicalForm(1, 0), CanonicalForm(1, 0)): CanonicalForm(9, 0),
+        (CanonicalForm(0, 1), CanonicalForm(0, 1)): CanonicalForm(9, 0),
+    }
+    monkeypatch.setattr(equiv, "mul", lambda c1, c2: wrong.get((c1, c2)) or mul(c1, c2))
+    report = check_oracle(3)
+    assert report.render() == (
+        "FAIL word=s1,2 s1,2 affine=(sign=+1, shift=0) canon=(m=9, eps=0) "
+        "expected=(m=0, eps=0)\n"
+        "FAIL word=s1,3 s1,3 affine=(sign=+1, shift=0) canon=(m=9, eps=0) "
+        "expected=(m=0, eps=0)\n"
+        "FAIL word=s1,2 s1,2 s1,2 affine=(sign=-1, shift=0) canon=(m=8, eps=0) "
+        "expected=(m=1, eps=0)\n"
+        "FAIL word=s1,2 s1,2 s1,3 affine=(sign=-1, shift=1) canon=(m=9, eps=1) "
+        "expected=(m=0, eps=1)\n"
+        "FAIL word=s1,2 s1,2 s2,3 affine=(sign=-1, shift=2) canon=(m=10, eps=0) "
+        "expected=(m=-1, eps=0)\n"
+        "FAIL word=s1,3 s1,3 s1,2 affine=(sign=-1, shift=0) canon=(m=8, eps=0) "
+        "expected=(m=1, eps=0)\n"
+        "FAIL word=s1,3 s1,3 s1,3 affine=(sign=-1, shift=1) canon=(m=9, eps=1) "
+        "expected=(m=0, eps=1)\n"
+        "FAIL word=s1,3 s1,3 s2,3 affine=(sign=-1, shift=2) canon=(m=10, eps=0) "
+        "expected=(m=-1, eps=0)\n"
+        "FAIL 8/45"
     )
 
 
