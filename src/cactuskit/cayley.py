@@ -1,16 +1,17 @@
 """Windowed Cayley graphs of the degree-3 group and its dihedral subgroup.
 
-Vertices are canonical forms of word length at most the window radius; edges
-come from right multiplication by a generator, kept when both endpoints stay
-in the window.  Every generator is an involution, so each edge pair collapses
-to one undirected edge, stored with endpoints in sorted order.
+Vertices are the canonical forms of word length at most the window radius, in
+``(m, eps)`` order.  An edge ``(src, dst, gen)`` with ``src < dst`` joins v and
+v gen when both lie in the window (every generator is an involution); edges are
+sorted by ``(src, dst, str(gen))``.  ``export_json`` writes the layout of
+``json.dumps(payload, indent=2)`` itself, without loading ``json``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 
-from .degree3 import CanonicalForm, canonicalize, mul
+from .degree3 import CanonicalForm, _alt_concat, canonicalize, mul
 from .words import Generator, PresentationSpec, Word, _setfield, _Value
 
 GROUP_FULL = "J3"
@@ -28,6 +29,15 @@ _GENERATORS = {
 Edge = tuple[CanonicalForm, CanonicalForm, Generator]
 
 
+def _check_window(group: str, radius: int) -> None:
+    if group not in _GENERATORS:
+        raise ValueError(f"unknown group tag {group!r}; expected J3 or J3_2")
+    if type(radius) is not int:
+        raise ValueError(f"radius must be an int, got {radius!r}")
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
+
+
 class CayleyGraph(_Value):
     """A window of a Cayley graph; ``degree_of`` bisects the sorted ``vertices``."""
 
@@ -36,6 +46,7 @@ class CayleyGraph(_Value):
     def __init__(
         self, group: str, radius: int, vertices: tuple[CanonicalForm, ...], edges: tuple[Edge, ...]
     ) -> None:
+        _check_window(group, radius)
         _setfield(self, "group", group)
         _setfield(self, "radius", radius)
         _setfield(self, "vertices", tuple(vertices))
@@ -53,49 +64,48 @@ class CayleyGraph(_Value):
         return i < len(self.vertices) and self.vertices[i] == v
 
 
-def _window_vertices(group: str, radius: int) -> list[CanonicalForm]:
-    out = [CanonicalForm(m, 0) for m in range(-radius, radius + 1)]
-    if group == GROUP_FULL:
-        out += [CanonicalForm(m, 1) for m in range(-(radius - 1), radius)]
-    return sorted(out)
-
-
 def build_window(group: str, radius: int) -> CayleyGraph:
     """All elements of word length <= radius with generator-labeled edges."""
-    if group not in _GENERATORS:
-        raise ValueError(f"unknown group tag {group!r}; expected J3 or J3_2")
-    if type(radius) is not int:
-        raise ValueError(f"radius must be an int, got {radius!r}")
-    if radius < 0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
-    vertices = _window_vertices(group, radius)
-    in_window = set(vertices)
+    _check_window(group, radius)
+    eps_range = (0, 1) if group == GROUP_FULL else (0,)
+    ms = range(-radius, radius + 1)
+    vertices = [CanonicalForm(m, eps) for m in ms for eps in eps_range if abs(m) + eps <= radius]
+    at = {(v.m, v.eps): v for v in vertices}
+    # (m, eps) g = (m, 0) t with t = (0, eps) g, whose key is (_alt_concat(m, t.m), t.eps).
+    gens = _GENERATORS[group]
+    steps = [[(mul(CanonicalForm(0, eps), gf), str(g), g) for g, gf in gens] for eps in (0, 1)]
     edges = []
+    # The vertices come sorted, so sorting each one's edges by (dst, str(gen)) sorts all.
     for v in vertices:
-        for g, gf in _GENERATORS[group]:
-            w = mul(v, gf)
-            if w in in_window and v < w:
-                edges.append((v, w, g))
-    edges.sort(key=lambda e: (e[0], e[1], str(e[2])))
+        src = (v.m, v.eps)
+        ends = []
+        for t, label, g in steps[v.eps]:
+            dst = (_alt_concat(v.m, t.m), t.eps)
+            if dst > src and dst in at:
+                ends.append((dst, label, g))
+        ends.sort()
+        edges += [(v, at[dst], g) for dst, _, g in ends]
     return CayleyGraph(group, radius, tuple(vertices), tuple(edges))
 
 
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def export_json(g: CayleyGraph) -> str:
-    import json  # here, so that importing the package does not load json
-    index = {v: i for i, v in enumerate(g.vertices)}
-    payload = {
-        "group": g.group,
-        "radius": g.radius,
-        "nodes": [
-            {"id": i, "m": v.m, "eps": v.eps, "label": str(v)}
-            for i, v in enumerate(g.vertices)
-        ],
-        "edges": [
-            {"src": index[src], "dst": index[dst], "gen": str(gen)}
-            for src, dst, gen in g.edges
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    index = {(v.m, v.eps): i for i, v in enumerate(g.vertices)}
+    nodes = [
+        f'    {{\n      "id": {i},\n      "m": {v.m},\n      "eps": {v.eps},\n'
+        f'      "label": "{v}"\n    }}'
+        for i, v in enumerate(g.vertices)
+    ]
+    edges = [
+        f'    {{\n      "src": {index[src.m, src.eps]},\n      "dst": {index[dst.m, dst.eps]},\n'
+        f'      "gen": "{gen}"\n    }}'
+        for src, dst, gen in g.edges
+    ]
+    head = f'{{\n  "group": "{g.group}",\n  "radius": {g.radius},\n'
+    return head + f'  "nodes": {_json_list(nodes)},\n  "edges": {_json_list(edges)}\n}}\n'
 
 
 def export_dot(g: CayleyGraph) -> str:

@@ -5,7 +5,12 @@ import pytest
 
 from cactuskit.cayley import CayleyGraph, build_window, export_dot, export_json
 from cactuskit.degree3 import CanonicalForm, canonicalize, mul, to_word
-from cactuskit.words import Word
+from cactuskit.words import PresentationSpec, Word
+
+GENERATORS = {
+    "J3": PresentationSpec(3, "full").generators(),
+    "J3_2": PresentationSpec(3, frozenset({2})).generators(),
+}
 
 
 def test_zero_radius_window():
@@ -95,6 +100,53 @@ def test_export_json_schema():
         {"src": 1, "dst": 2, "gen": "s1,2"},
     ]
     assert export_json(g).endswith("\n")
+
+
+def _payload_json(g):
+    index = {v: i for i, v in enumerate(g.vertices)}
+    payload = {
+        "group": g.group,
+        "radius": g.radius,
+        "nodes": [
+            {"id": i, "m": v.m, "eps": v.eps, "label": str(v)} for i, v in enumerate(g.vertices)
+        ],
+        "edges": [
+            {"src": index[src], "dst": index[dst], "gen": str(gen)} for src, dst, gen in g.edges
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_export_json_is_the_indented_dump_of_the_payload():
+    graphs = [build_window(group, radius) for group in ("J3", "J3_2") for radius in range(31)]
+    graphs += [build_window("J3", 720), CayleyGraph("J3_2", 0, (), ())]
+    for g in graphs:
+        assert export_json(g) == _payload_json(g), (g.group, g.radius)
+
+
+def _reference_window(group, radius):
+    """The window by its definition: every right multiplication by a generator
+    with both ends in the window, once per undirected pair."""
+    vertices = sorted(
+        CanonicalForm(m, eps)
+        for eps in ((0, 1) if group == "J3" else (0,))
+        for m in range(-radius + eps, radius + 1 - eps)
+    )
+    in_window = set(vertices)
+    edges = []
+    for v in vertices:
+        for gen in GENERATORS[group]:
+            w = mul(v, canonicalize(Word(3, (gen,))))
+            if w in in_window and v < w:
+                edges.append((v, w, gen))
+    edges.sort(key=lambda e: (e[0], e[1], str(e[2])))
+    return CayleyGraph(group, radius, vertices, edges)
+
+
+def test_build_window_matches_its_definition():
+    for group in ("J3", "J3_2"):
+        for radius in range(41):
+            assert build_window(group, radius) == _reference_window(group, radius), (group, radius)
 
 
 def test_export_json_ids_index_sorted_nodes():

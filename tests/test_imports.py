@@ -37,3 +37,16 @@ def test_cli_starts_without_the_slow_standard_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_cayley_json_export_does_not_load_json():
+    code = (
+        "import sys; from cactuskit.cayley import build_window, export_json; "
+        "export_json(build_window('J3', 2)); print('json' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

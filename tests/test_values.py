@@ -191,6 +191,9 @@ REJECTIONS = [
     (CoverVertex, ("213", 0.5), ValueError, "winding index must be an int, got 0.5"),
     (DeckElement, ("1",), ValueError, "deck power must be an int, got '1'"),
     (PureElement, (None,), ValueError, "pure power must be an int, got None"),
+    (CayleyGraph, ('J3"', 0, (), ()), ValueError, "unknown group tag 'J3\"'; expected J3 or J3_2"),
+    (CayleyGraph, ("J3", 1.0, (), ()), ValueError, "radius must be an int, got 1.0"),
+    (CayleyGraph, ("J3_2", -1, (), ()), ValueError, "radius must be nonnegative, got -1"),
 ]
 
 
