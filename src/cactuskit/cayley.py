@@ -47,10 +47,19 @@ class CayleyGraph(_Value):
         self, group: str, radius: int, vertices: tuple[CanonicalForm, ...], edges: tuple[Edge, ...]
     ) -> None:
         _check_window(group, radius)
+        vertices = tuple(vertices)
+        edges = tuple(map(tuple, edges))
+        # The exports write labels unescaped; these types' labels need no escaping.
+        for v in vertices:
+            if type(v) is not CanonicalForm:
+                raise ValueError(f"vertex must be a CanonicalForm, got {v!r}")
+        for _, _, gen in edges:
+            if type(gen) is not Generator:
+                raise ValueError(f"edge label must be a Generator, got {gen!r}")
         _setfield(self, "group", group)
         _setfield(self, "radius", radius)
-        _setfield(self, "vertices", tuple(vertices))
-        _setfield(self, "edges", tuple(map(tuple, edges)))
+        _setfield(self, "vertices", vertices)
+        _setfield(self, "edges", edges)
 
     def degree_of(self, v: CanonicalForm) -> int:
         """Number of edges at v: one per generator whose product with v stays
@@ -109,10 +118,10 @@ def export_json(g: CayleyGraph) -> str:
 
 
 def export_dot(g: CayleyGraph) -> str:
-    lines = [f'graph "{g.group}" {{']
-    for v in g.vertices:
-        lines.append(f'  "{v}";')
-    for src, dst, gen in g.edges:
-        lines.append(f'  "{src}" -- "{dst}" [label="{gen}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    label = {(v.m, v.eps): f'"{v}"' for v in g.vertices}
+    nodes = [f"  {label[v.m, v.eps]};" for v in g.vertices]
+    edges = [
+        f'  {label[src.m, src.eps]} -- {label[dst.m, dst.eps]} [label="{gen}"];'
+        for src, dst, gen in g.edges
+    ]
+    return "\n".join([f'graph "{g.group}" {{', *nodes, *edges, "}"]) + "\n"

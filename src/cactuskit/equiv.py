@@ -23,7 +23,6 @@ from .confspace import COVER_LABELS, CoverVertex, DeckElement, deck_act
 from .degree3 import (
     AFFINE_IDENTITY,
     IDENTITY,
-    AffineMap,
     CanonicalForm,
     affine_model,
     canonicalize,
@@ -33,7 +32,7 @@ from .degree3 import (
     pure_element,
     to_word,
 )
-from .words import Word, _setfield, _Value, all_generators, relation_instances
+from .words import Generator, Word, _setfield, _Value, all_generators, relation_instances
 
 
 _S13 = CanonicalForm(0, 1)
@@ -264,82 +263,90 @@ def check_isomorphism(k_range: Iterable[int]) -> Iterator[str | None]:
         yield f"FAIL k1={k1} k2={k2} lhs=j{lhs.j} rhs=j{rhs.j}" if lhs != rhs else None
 
 
-def _oracle_walk(max_len: int) -> Iterator[tuple[list[int], int, CanonicalForm, AffineMap]]:
-    """Every degree-3 word of length 0..max_len as (path, pair, form, map),
-    the lengths in turn and each in ``product`` order.
-
-    A depth-first walk over the prefix tree extends a prefix's canonical form
-    by ``mul`` and its affine map by ``then`` with the next letter's images, so
-    the two models are still computed apart; the stacks hold one entry per
-    letter.  ``path`` lists the letters' indices in ``all_generators(3)``; it
-    is the walk's own list, valid until the next step.
-
-    Each step is memoised on the (form, map) pair and the letter: a pair gets
-    an id, ``pair``, the first time the walk reaches it, and ``mul`` and
-    ``then`` run once per id and letter, not once per prefix.  Both are
-    functions of their arguments, so a memoised step yields what computing it
-    again would; the walk reaches a few dozen pairs, one per group element
-    within the radius when the two models agree.
-    """
-    steps = [(canonicalize(Word(3, (g,))), affine_model(g)) for g in all_generators(3)]
-    pairs = [(IDENTITY, AFFINE_IDENTITY)]  # each distinct (form, map) reached
-    ids = {pairs[0]: 0}  # the inverse of pairs
-    succ = {}  # (id of a pair, letter index) -> id of the pair extended by it
-    for length in range(max_len + 1):
-        path = []
-        nodes = [0]  # nodes[d]: id of the form and map of path[:d]
-        i = 0  # the next letter to try below the current prefix
-        while True:
-            if len(path) == length:
-                yield path, nodes[-1], *pairs[nodes[-1]]
-                i = len(steps)
-            if i < len(steps):
-                key = (nodes[-1], i)
-                if key not in succ:
-                    (c, a), (step_c, step_a) = pairs[nodes[-1]], steps[i]
-                    pair = (mul(c, step_c), a.then(step_a))
-                    if pair not in ids:
-                        ids[pair] = len(pairs)
-                        pairs.append(pair)
-                    succ[key] = ids[pair]
-                path.append(i)
-                nodes.append(succ[key])
-                i = 0
-            elif path:
-                i = path.pop() + 1
-                nodes.pop()
-            else:
-                break
-
-
-@_sweep
-def check_oracle(max_len: int = 8) -> Iterator[str | None]:
+def check_oracle(max_len: int = 8) -> Report:
     """Canonical forms and the affine model induce the same word partition,
     and every relator evaluates to the identity map.
+
+    One case per degree-3 word of length 0..max_len, plus one per relator;
+    the words are counted, not visited.  For each length the sweep lists the
+    (form, map) pairs its words reach, in the order of the least word that
+    reaches each.  A pair extends by ``mul`` of its form and ``then`` of its
+    map with a letter's images, once per pair and letter, so the two models
+    are still computed apart; the lengths reach a few dozen pairs.
 
     A word fails when its form was first seen with another map, or its map
     with another form.  The first check reads the form's entry, which the
     first word with that form sets, and the second the map's entry, which the
     first word with that map to pass the first check sets; so the first word
-    that reaches a (form, map) pair settles the pair's verdict.  Each pair is
-    decided once, and each word that reaches a failing pair gets its own
-    failure line, in walk order.
+    that reaches a pair settles its verdict, and each pair is decided once,
+    at its first length and in that length's order, as a walk over the words
+    by length and in ``product`` order would.  Only a failing pair makes the
+    sweep write words out: a depth-first walk, kept to the prefixes that can
+    still reach a failing pair, gives each failing word its line in that order.
     """
     gens = all_generators(3)
+    steps = [(canonicalize(Word(3, (g,))), affine_model(g)) for g in gens]
+    pairs = [(IDENTITY, AFFINE_IDENTITY)]  # each distinct (form, map) reached
+    ids = {pairs[0]: 0}  # the inverse of pairs
+    succ = {}  # (id of a pair, letter index) -> id of the pair extended by it
+
+    def extend(p: int, i: int) -> int:
+        key = (p, i)
+        if key not in succ:
+            (c, a), (step_c, step_a) = pairs[p], steps[i]
+            pair = (mul(c, step_c), a.then(step_a))
+            if pair not in ids:
+                ids[pair] = len(pairs)
+                pairs.append(pair)
+            succ[key] = ids[pair]
+        return succ[key]
+
     canon_to_affine = {}
     affine_to_canon = {}
     tails = {}  # pair id -> None when the pair passes, else its failure line after the word
-    for path, pair, c, a in _oracle_walk(max_len):
-        if pair not in tails:
-            if canon_to_affine.setdefault(c, a) != a:
-                tails[pair] = f"canon={c} affine={a} expected={canon_to_affine[c]}"
-            elif affine_to_canon.setdefault(a, c) != c:
-                tails[pair] = f"affine={a} canon={c} expected={affine_to_canon[a]}"
-            else:
-                tails[pair] = None
-        tail = tails[pair]
-        yield None if tail is None else f"FAIL word={Word(3, tuple(gens[i] for i in path))} {tail}"
-    for family, lhs, rhs in relation_instances(3):
+    levels = []  # levels[L]: ids of the pairs that words of length L reach, in order
+    words = 0
+    for length in range(max_len + 1):
+        words += 3**length
+        level = [extend(p, i) for p in levels[-1] for i in range(3)] if levels else [0]
+        levels.append(list(dict.fromkeys(level)))
+        for p in levels[-1]:
+            if p not in tails:
+                c, a = pairs[p]
+                if canon_to_affine.setdefault(c, a) != a:
+                    tails[p] = f"canon={c} affine={a} expected={canon_to_affine[c]}"
+                elif affine_to_canon.setdefault(a, c) != c:
+                    tails[p] = f"affine={a} canon={c} expected={affine_to_canon[a]}"
+                else:
+                    tails[p] = None
+
+    failures = []
+
+    def walk(p: int, letters: tuple[Generator, ...], live: list[set[int]]) -> None:
+        # letters reach pair p; each extension through live ends at a failing pair.
+        if len(letters) == len(live) - 1:
+            failures.append(f"FAIL word={Word(3, letters)} {tails[p]}")
+            return
+        for i in range(3):
+            q = succ[p, i]
+            if q in live[len(letters) + 1]:
+                walk(q, letters + (gens[i],), live)
+
+    for length, level in enumerate(levels):
+        # live[d]: the pairs at length d that extend to a failing pair at this length.
+        live = [{p for p in level if tails[p] is not None}]
+        if live[0]:
+            for d in range(length - 1, -1, -1):
+                live.insert(0, {p for p in levels[d] if any(succ[p, i] in live[0] for i in range(3))})
+            walk(0, (), live)
+    instances = list(relation_instances(3))
+    for family, lhs, rhs in instances:
         relator = Word(3, lhs.letters + tuple(reversed(rhs.letters)))
-        broken = evaluate_word(relator) != AFFINE_IDENTITY
-        yield f"FAIL {family} relator {lhs} = {rhs} not respected" if broken else None
+        if evaluate_word(relator) != AFFINE_IDENTITY:
+            failures.append(f"FAIL {family} relator {lhs} = {rhs} not respected")
+    return Report(words + len(instances), tuple(failures))
+
+
+# Under postponed evaluation the annotation is the string "Report"; the sweeps
+# that _sweep wraps carry the class itself, and so does this one.
+check_oracle.__annotations__["return"] = Report

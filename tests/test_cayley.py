@@ -172,6 +172,26 @@ def test_export_dot_golden():
     )
 
 
+def _dot_lines(g):
+    lines = [f'graph "{g.group}" {{']
+    lines += [f'  "{v}";' for v in g.vertices]
+    lines += [f'  "{src}" -- "{dst}" [label="{gen}"];' for src, dst, gen in g.edges]
+    return "\n".join([*lines, "}"]) + "\n"
+
+
+def test_export_dot_formats_each_label_once(monkeypatch):
+    graphs = [build_window(group, radius) for group in ("J3", "J3_2") for radius in range(31)]
+    graphs += [build_window("J3", 720), CayleyGraph("J3_2", 0, (), ())]
+    for g in graphs:
+        assert export_dot(g) == _dot_lines(g), (g.group, g.radius)
+    calls = []
+    real = CanonicalForm.__str__
+    monkeypatch.setattr(CanonicalForm, "__str__", lambda v: calls.append(v) or real(v))
+    g = build_window("J3", 720)
+    export_dot(g)
+    assert calls == list(g.vertices)
+
+
 def test_exports_are_deterministic():
     a = build_window("J3", 3)
     b = build_window("J3", 3)

@@ -218,6 +218,9 @@ def test_verify_oracle_radius_limits(capsys):
     code, out, _ = run_cli(capsys, "verify", "oracle", "--radius", "0")
     assert code == 0
     assert out.startswith("OK ")
+    code, out, _ = run_cli(capsys, "verify", "oracle", "--radius", "12")
+    assert code == 0
+    assert out == "OK 797166 cases\n"
 
 
 def test_verify_ranges_are_capped(capsys, monkeypatch):

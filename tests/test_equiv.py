@@ -4,7 +4,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import cactuskit.equiv as equiv
 from cactuskit.confspace import COVER_LABELS, CoverVertex, DeckElement
@@ -13,6 +13,7 @@ from cactuskit.degree3 import (
     IDENTITY,
     AffineMap,
     CanonicalForm,
+    affine_model,
     canonicalize,
     evaluate_word,
     in_dihedral_subgroup,
@@ -24,7 +25,6 @@ from cactuskit.equiv import (
     OutsideSubgroupError,
     PureElement,
     Report,
-    _oracle_walk,
     check_equivariance,
     check_isomorphism,
     check_oracle,
@@ -37,7 +37,7 @@ from cactuskit.equiv import (
     pure_from_deck,
     verify_action_axioms,
 )
-from cactuskit.words import Word, all_generators, concat, parse_word
+from cactuskit.words import Word, all_generators, concat, parse_word, relation_instances
 
 
 def test_pure_element_round_trip():
@@ -352,15 +352,70 @@ def test_isomorphism_failure_lines(monkeypatch):
     )
 
 
-def test_oracle_walk_matches_word_by_word():
-    gens = all_generators(3)
-    walked = [(tuple(gens[i] for i in path), c, a) for path, _, c, a in _oracle_walk(7)]
-    expected = [
-        (letters, canonicalize(Word(3, letters)), evaluate_word(Word(3, letters)))
-        for length in range(8)
-        for letters in product(gens, repeat=length)
-    ]
-    assert walked == expected
+def _oracle_by_word(max_len):
+    """check_oracle word by word: each word of length 0..max_len, by length
+    and in product order, folds equiv.mul and AffineMap.then over its letters
+    and is checked against the same first-seen dicts."""
+    steps = [(g, canonicalize(Word(3, (g,))), affine_model(g)) for g in all_generators(3)]
+    canon_to_affine = {}
+    affine_to_canon = {}
+    total = 0
+    failures = []
+    for length in range(max_len + 1):
+        for word in product(steps, repeat=length):
+            c, a = IDENTITY, AFFINE_IDENTITY
+            for _, step_c, step_a in word:
+                c, a = equiv.mul(c, step_c), a.then(step_a)
+            w = Word(3, tuple(g for g, _, _ in word))
+            total += 1
+            if canon_to_affine.setdefault(c, a) != a:
+                failures.append(f"FAIL word={w} canon={c} affine={a} expected={canon_to_affine[c]}")
+            elif affine_to_canon.setdefault(a, c) != c:
+                failures.append(f"FAIL word={w} affine={a} canon={c} expected={affine_to_canon[a]}")
+    for family, lhs, rhs in relation_instances(3):
+        total += 1
+        if equiv.evaluate_word(Word(3, lhs.letters + rhs.letters[::-1])) != AFFINE_IDENTITY:
+            failures.append(f"FAIL {family} relator {lhs} = {rhs} not respected")
+    return Report(total, tuple(failures))
+
+
+def test_oracle_matches_word_by_word():
+    # The folds agree with the models computed from each whole word.
+    for word in (Word(3, letters) for n in range(7) for letters in product(all_generators(3), repeat=n)):
+        c, a = IDENTITY, AFFINE_IDENTITY
+        for g in word.letters:
+            c, a = mul(c, canonicalize(Word(3, (g,)))), a.then(affine_model(g))
+        assert (c, a) == (canonicalize(word), evaluate_word(word))
+    for max_len in (-3, -1, 0, 1, 2, 7, True):
+        assert check_oracle(max_len) == _oracle_by_word(max_len)
+    # No words below length 0; True counts as 1.
+    assert check_oracle(-3) == Report(5)
+    assert check_oracle(True) == Report(9)
+    for bad in (2.0, "2", None):
+        with pytest.raises(TypeError):
+            check_oracle(bad)
+
+
+# A broken mul: wrong products of a form near the identity and a letter's form.
+_wrong_products = st.dictionaries(
+    st.tuples(
+        st.builds(CanonicalForm, st.integers(-3, 3), st.integers(0, 1)),
+        st.sampled_from([canonicalize(Word(3, (g,))) for g in all_generators(3)]),
+    ),
+    st.builds(CanonicalForm, st.integers(-8, 8), st.integers(0, 1)),
+    max_size=5,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_wrong_products, st.integers(0, 6))
+def test_oracle_matches_word_by_word_under_broken_mul(wrong, max_len):
+    real = equiv.mul
+    equiv.mul = lambda c1, c2: wrong.get((c1, c2)) or real(c1, c2)
+    try:
+        assert check_oracle(max_len) == _oracle_by_word(max_len)
+    finally:
+        equiv.mul = real
 
 
 def test_oracle_memory_stays_below_one_level():

@@ -194,6 +194,13 @@ REJECTIONS = [
     (CayleyGraph, ('J3"', 0, (), ()), ValueError, "unknown group tag 'J3\"'; expected J3 or J3_2"),
     (CayleyGraph, ("J3", 1.0, (), ()), ValueError, "radius must be an int, got 1.0"),
     (CayleyGraph, ("J3_2", -1, (), ()), ValueError, "radius must be nonnegative, got -1"),
+    (CayleyGraph, ("J3", 0, ((0, 0),), ()), ValueError, "vertex must be a CanonicalForm, got (0, 0)"),
+    (
+        CayleyGraph,
+        ("J3", 0, (F0,), ((F0, F0, 'a"b'),)),
+        ValueError,
+        "edge label must be a Generator, got 'a\"b'",
+    ),
 ]
 
 
