@@ -39,7 +39,8 @@ def _check_window(group: str, radius: int) -> None:
 
 
 class CayleyGraph(_Value):
-    """A window of a Cayley graph; ``degree_of`` bisects the sorted ``vertices``."""
+    """A window of a Cayley graph whose edges join two of its ``vertices``;
+    ``degree_of`` bisects the sorted ``vertices``."""
 
     __slots__ = _fields = ("group", "radius", "vertices", "edges")
 
@@ -49,11 +50,19 @@ class CayleyGraph(_Value):
         _check_window(group, radius)
         vertices = tuple(vertices)
         edges = tuple(map(tuple, edges))
+        # Each vertex's (m, eps) as the int 2m + eps, so that checking an edge
+        # endpoint builds no tuple and calls no Python-level __hash__.
+        keys = set()
         # The exports write labels unescaped; these types' labels need no escaping.
         for v in vertices:
             if type(v) is not CanonicalForm:
                 raise ValueError(f"vertex must be a CanonicalForm, got {v!r}")
-        for _, _, gen in edges:
+            keys.add(2 * v.m + v.eps)
+        for src, dst, gen in edges:
+            if type(src) is not CanonicalForm or type(dst) is not CanonicalForm:
+                raise ValueError(f"edge endpoints must be CanonicalForms, got {src!r} and {dst!r}")
+            if 2 * src.m + src.eps not in keys or 2 * dst.m + dst.eps not in keys:
+                raise ValueError(f"edge {src} -- {dst} does not join two vertices of the window")
             if type(gen) is not Generator:
                 raise ValueError(f"edge label must be a Generator, got {gen!r}")
         _setfield(self, "group", group)

@@ -2,6 +2,12 @@
 
 Exit codes: 0 success (and all checks passing), 1 verification failure or a
 negative `pure` answer, 2 usage, parse or I/O errors.
+
+Each subcommand's handler imports the modules it uses, so a request loads
+only those: `normalize` loads `words` and `degree3`; `project` and `pure`
+load `words` and `perm`; `chambers` and `cover` load `words` and
+`confspace`; `cayley` loads `words`, `degree3` and `cayley`; `verify` loads
+`words`, `degree3`, `confspace` and `equiv`.
 """
 
 from __future__ import annotations
@@ -11,19 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-from .cayley import build_window, export_dot, export_json
-from .confspace import cover_window, enumerate_chambers
-from .degree3 import canonicalize
-from .equiv import (
-    check_equivariance,
-    check_isomorphism,
-    check_oracle,
-    check_shift_law,
-    cover_to_group,
-    cover_to_group_perturbed,
-    verify_action_axioms,
-)
-from .perm import is_pure, project
 from .words import Word, WordParseError, free_reduce, parse_word
 
 
@@ -77,6 +70,8 @@ def _read_word(args: argparse.Namespace) -> Word:
 
 
 def _cmd_normalize(args: argparse.Namespace) -> int:
+    from .degree3 import canonicalize
+
     w = _read_word(args)
     if args.n == 3:
         print(canonicalize(w))
@@ -86,11 +81,15 @@ def _cmd_normalize(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    from .perm import project
+
     print(project(_read_word(args)))
     return 0
 
 
 def _cmd_pure(args: argparse.Namespace) -> int:
+    from .perm import is_pure
+
     if is_pure(_read_word(args)):
         print("yes")
         return 0
@@ -99,6 +98,8 @@ def _cmd_pure(args: argparse.Namespace) -> int:
 
 
 def _cmd_cayley(args: argparse.Namespace) -> int:
+    from .cayley import build_window, export_dot, export_json
+
     _at_most("--radius", args.radius, _MAX_CAYLEY_RADIUS)
     graph = build_window(args.group, args.radius)
     text = export_dot(graph) if args.format == "dot" else export_json(graph)
@@ -110,6 +111,8 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
 
 
 def _cmd_chambers(args: argparse.Namespace) -> int:
+    from .confspace import enumerate_chambers
+
     _at_most("--n", args.n, _MAX_CHAMBER_LABELS)
     for chamber in enumerate_chambers(args.n):
         print(chamber)
@@ -117,6 +120,8 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
 
 
 def _cmd_cover(args: argparse.Namespace) -> int:
+    from .confspace import cover_window
+
     _at_most("--radius", args.radius, _MAX_COVER_RADIUS)
     for v in cover_window(args.radius):
         print(v)
@@ -124,12 +129,14 @@ def _cmd_cover(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import equiv
+
     if args.suite == "equivariance":
         jr = _span(args.jmin, args.jmax, -20, 20, "j")
         kr = _span(args.kmin, args.kmax, -50, 50, "k")
         _at_most("equivariance case count", 3 * _size(jr) * _size(kr), _MAX_VERIFY_CASES)
-        phi = cover_to_group_perturbed if args.perturb_map else cover_to_group
-        report = check_equivariance(jr, kr, phi=phi)
+        phi = equiv.cover_to_group_perturbed if args.perturb_map else equiv.cover_to_group
+        report = equiv.check_equivariance(jr, kr, phi=phi)
     elif args.suite == "action":
         kr = _span(args.kmin, args.kmax, -10, 10, "k")
         mr = _span(args.mmin, args.mmax, -60, 60, "m")
@@ -141,15 +148,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # Each length case writes out the m + 3k letters of its word.
         letters = _size(kp) * _sum(mp) + 3 * _size(mp) * _sum(kp)
         _at_most("action letter count", letters, _MAX_VERIFY_LETTERS)
-        report = verify_action_axioms(kr, mr).merged(check_shift_law(kr, mr))
+        report = equiv.verify_action_axioms(kr, mr).merged(equiv.check_shift_law(kr, mr))
     elif args.suite == "iso":
         kr = _span(args.kmin, args.kmax, -15, 15, "k")
         _at_most("iso case count", 2 * _size(kr) + _size(kr) ** 2, _MAX_VERIFY_CASES)
-        report = check_isomorphism(kr)
+        report = equiv.check_isomorphism(kr)
     else:
         if not 0 <= args.radius <= _MAX_ORACLE_RADIUS:
             raise ValueError(f"--radius {args.radius} is outside 0..{_MAX_ORACLE_RADIUS}")
-        report = check_oracle(args.radius)
+        report = equiv.check_oracle(args.radius)
     print(report.render())
     return 0 if report.ok() else 1
 

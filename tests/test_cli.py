@@ -7,7 +7,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-import cactuskit.cli as cli
+import cactuskit.equiv as equiv
 from cactuskit.cli import main
 from cactuskit.equiv import Report
 
@@ -253,14 +253,14 @@ def test_verify_ranges_are_capped(capsys, monkeypatch):
     for argv, message in refused:
         assert run_cli(capsys, "verify", *argv) == (2, "", f"error: {message}\n")
     # At the cap the suites run; stand-ins report the count they were given.
-    monkeypatch.setattr(cli, "check_equivariance", lambda jr, kr, phi: Report(3 * len(jr) * len(kr)))
-    monkeypatch.setattr(cli, "verify_action_axioms", lambda kr, mr: Report(len(mr) * (1 + len(kr) ** 2)))
+    monkeypatch.setattr(equiv, "check_equivariance", lambda jr, kr, phi: Report(3 * len(jr) * len(kr)))
+    monkeypatch.setattr(equiv, "verify_action_axioms", lambda kr, mr: Report(len(mr) * (1 + len(kr) ** 2)))
     monkeypatch.setattr(
-        cli,
+        equiv,
         "check_shift_law",
         lambda kr, mr: Report(len(kr) * len(mr) + sum(k >= 0 for k in kr) * sum(m >= 0 for m in mr)),
     )
-    monkeypatch.setattr(cli, "check_isomorphism", lambda kr: Report(2 * len(kr) + len(kr) ** 2))
+    monkeypatch.setattr(equiv, "check_isomorphism", lambda kr: Report(2 * len(kr) + len(kr) ** 2))
     allowed = [
         ("equivariance", "--jmin", "0", "--jmax", "0", "--kmin", "1", "--kmax", "333333"),
         # At the case cap with 499,500 letters, and at the letter cap with 999,391.

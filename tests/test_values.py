@@ -201,6 +201,18 @@ REJECTIONS = [
         ValueError,
         "edge label must be a Generator, got 'a\"b'",
     ),
+    (
+        CayleyGraph,
+        ("J3", 0, (F0,), ((F0, CanonicalForm(5, 0), S12),)),
+        ValueError,
+        "edge (m=0, eps=0) -- (m=5, eps=0) does not join two vertices of the window",
+    ),
+    (
+        CayleyGraph,
+        ("J3", 0, (F0,), (("x", F0, S12),)),
+        ValueError,
+        "edge endpoints must be CanonicalForms, got 'x' and CanonicalForm(m=0, eps=0)",
+    ),
 ]
 
 
