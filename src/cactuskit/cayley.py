@@ -40,7 +40,7 @@ def _check_window(group: str, radius: int) -> None:
 
 class CayleyGraph(_Value):
     """A window of a Cayley graph whose edges join two of its ``vertices``;
-    ``degree_of`` bisects the sorted ``vertices``."""
+    ``degree_of`` bisects the ``vertices``, which must be sorted and distinct."""
 
     __slots__ = _fields = ("group", "radius", "vertices", "edges")
 
@@ -50,14 +50,21 @@ class CayleyGraph(_Value):
         _check_window(group, radius)
         vertices = tuple(vertices)
         edges = tuple(map(tuple, edges))
-        # Each vertex's (m, eps) as the int 2m + eps, so that checking an edge
-        # endpoint builds no tuple and calls no Python-level __hash__.
+        # Each vertex's (m, eps) as the int 2m + eps, which orders as (m, eps)
+        # does: the keys must strictly increase for degree_of to bisect the
+        # vertices, and checking an edge endpoint builds no tuple and calls no
+        # Python-level __hash__.
         keys = set()
+        last = prev = None  # the previous vertex's key, and the vertex
         # The exports write labels unescaped; these types' labels need no escaping.
         for v in vertices:
             if type(v) is not CanonicalForm:
                 raise ValueError(f"vertex must be a CanonicalForm, got {v!r}")
-            keys.add(2 * v.m + v.eps)
+            key = 2 * v.m + v.eps
+            if last is not None and key <= last:
+                raise ValueError(f"vertices must be sorted and distinct, got {v} after {prev}")
+            keys.add(key)
+            last, prev = key, v
         for src, dst, gen in edges:
             if type(src) is not CanonicalForm or type(dst) is not CanonicalForm:
                 raise ValueError(f"edge endpoints must be CanonicalForms, got {src!r} and {dst!r}")

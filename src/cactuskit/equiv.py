@@ -8,16 +8,16 @@ whenever the raw product picks one up).  The cover line maps onto the group
 by [213]_k -> 3k+1, [123]_k -> 3k, [132]_k -> 3k-1, and this intertwines
 the deck shift with the action above.
 
-Verifiers return a ``Report`` rather than raising: failures are data.  A
+Verifiers return a ``Report`` rather than raising: failures are data.  Each
+counts its cases and keeps only the failure lines, in case order.  A
 deliberately wrong variant of the cover map is included as a negative
 control so the verifiers themselves can be shown to catch errors.
 """
 
 from __future__ import annotations
 
-from functools import wraps
 from itertools import product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .confspace import COVER_LABELS, CoverVertex, DeckElement, deck_act
 from .degree3 import (
@@ -124,48 +124,39 @@ class Report(_Value):
 CoverMap = Callable[[CoverVertex], CanonicalForm]
 
 
-def _sweep(suite: Callable[..., Iterator[str | None]]) -> Callable[..., Report]:
-    """Turn a generator that yields one item per case -- None when the case
-    passes, its failure line when it fails -- into a verifier returning a Report."""
-
-    @wraps(suite)
-    def verifier(*args, **kwargs) -> Report:
-        total = 0
-        failures = []
-        for total, outcome in enumerate(suite(*args, **kwargs), 1):
-            if outcome is not None:
-                failures.append(outcome)
-        return Report(total, tuple(failures))
-
-    # wraps shares the suite's annotations dict; signature() reads it via __wrapped__.
-    verifier.__annotations__["return"] = Report
-    return verifier
-
-
-@_sweep
 def check_equivariance(
     j_range: Iterable[int],
     k_range: Iterable[int],
     phi: CoverMap = cover_to_group,
-) -> Iterator[str | None]:
+) -> Report:
     """Deck shift then phi must equal phi then the pure action.
 
-    ``phi`` maps each vertex once, before the shifts, and each case acts by
-    the shift's pure power on that image; the shifted vertex is mapped per case.
+    Each case shifts its vertex by ``deck_act`` and compares ``phi`` of the
+    shifted vertex (lhs) with the shift's pure power acting on ``phi`` of the
+    vertex (rhs).  ``phi`` is a function of its argument, so it maps each
+    distinct vertex once, keyed by ``(k, label)``: first the unshifted
+    vertices, then each shifted vertex the first time a case reaches it.
     """
     vs = [CoverVertex(label, k) for k in k_range for label in COVER_LABELS]
     images = [phi(v) for v in vs]
-    for j in j_range:
+    mapped = {(v.k, v.label): image for v, image in zip(vs, images)}
+    js = list(j_range)
+    failures = []
+    for j in js:
         g = PureElement(j)
         d = DeckElement(j)
         for v, image in zip(vs, images):
-            lhs = phi(deck_act(d, v))
+            w = deck_act(d, v)
+            lhs = mapped.get((w.k, w.label))
+            if lhs is None:
+                lhs = mapped[w.k, w.label] = phi(w)
             rhs = pure_action(g, image)
-            yield f"FAIL j={j} v={v} lhs={lhs} rhs={rhs}" if lhs != rhs else None
+            if lhs != rhs:
+                failures.append(f"FAIL j={j} v={v} lhs={lhs} rhs={rhs}")
+    return Report(len(js) * len(vs), tuple(failures))
 
 
-@_sweep
-def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[str | None]:
+def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Report:
     """Identity and compatibility axioms of the pure action.
 
     Each case compares ``g12`` acting on ``h`` (lhs) with ``g1`` acting on
@@ -184,9 +175,11 @@ def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Iter
     gs = [PureElement(k) for k in k_range]
     hs = [CanonicalForm(m, 0) for m in m_range]
     e = PureElement(0)
+    failures = []
     for h in hs:
         got = pure_action(e, h)
-        yield f"FAIL identity m={h.m} got={got}" if got != h else None
+        if got != h:
+            failures.append(f"FAIL identity m={h.m} got={got}")
     products = [
         PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
         for g1, g2 in product(gs, gs)
@@ -211,30 +204,38 @@ def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Iter
                 if rhs is None:
                     rhs = pure_action(g1, inner)
                     seen[inner.m] = lhs if rhs == lhs else rhs
-                yield f"FAIL k1={g1.k} k2={g2.k} m={h.m} lhs={lhs} rhs={rhs}" if lhs != rhs else None
+                if lhs != rhs:
+                    failures.append(f"FAIL k1={g1.k} k2={g2.k} m={h.m} lhs={lhs} rhs={rhs}")
             for g in (g12, g2):
                 if last[g] == n:
                     rows.pop(g, None)
             n += 1
+    return Report(len(hs) * (1 + len(products)), tuple(failures))
 
 
-@_sweep
-def check_shift_law(k_range: Iterable[int], m_range: Iterable[int]) -> Iterator[str | None]:
-    """Acting by the k-th pure power adds 3k to the alternating index."""
+def check_shift_law(k_range: Iterable[int], m_range: Iterable[int]) -> Report:
+    """Acting by the k-th pure power adds 3k to the alternating index.
+
+    One case per (k, m), plus a word-length case for each k, m >= 0 whose
+    index case passes."""
     hs = [CanonicalForm(m, 0) for m in m_range]
+    failures = []
+    total = 0
     for k in k_range:
         g = PureElement(k)
+        total += len(hs)
         for h in hs:
             m = h.m
             out = pure_action(g, h)
             if out != CanonicalForm(m + 3 * k, 0):
-                yield f"FAIL k={k} m={m} got={out}"
-                continue
-            yield None
-            if m >= 0 and k >= 0:
+                failures.append(f"FAIL k={k} m={m} got={out}")
+            elif m >= 0 and k >= 0:
                 # Word length grows by exactly 3k on this quadrant.
+                total += 1
                 length = len(to_word(out))
-                yield f"FAIL k={k} m={m} length={length}" if length != m + 3 * k else None
+                if length != m + 3 * k:
+                    failures.append(f"FAIL k={k} m={m} length={length}")
+    return Report(total, tuple(failures))
 
 
 def deck_from_pure(g: PureElement) -> DeckElement:
@@ -246,21 +247,24 @@ def pure_from_deck(d: DeckElement) -> PureElement:
     return PureElement(d.j)
 
 
-@_sweep
-def check_isomorphism(k_range: Iterable[int]) -> Iterator[str | None]:
+def check_isomorphism(k_range: Iterable[int]) -> Report:
     """deck_from_pure is a homomorphism and pure_from_deck inverts it."""
-    ks = list(k_range)
-    for k in ks:
-        g = PureElement(k)
+    gs = [PureElement(k) for k in k_range]
+    failures = []
+    for g in gs:
+        k = g.k
         d = DeckElement(k)
-        yield f"FAIL round trip k={k} via deck" if pure_from_deck(deck_from_pure(g)) != g else None
-        yield f"FAIL round trip j={k} via pure" if deck_from_pure(pure_from_deck(d)) != d else None
-    for k1, k2 in product(ks, ks):
-        g1, g2 = PureElement(k1), PureElement(k2)
+        if pure_from_deck(deck_from_pure(g)) != g:
+            failures.append(f"FAIL round trip k={k} via deck")
+        if deck_from_pure(pure_from_deck(d)) != d:
+            failures.append(f"FAIL round trip j={k} via pure")
+    for g1, g2 in product(gs, gs):
         g12 = PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
         lhs = deck_from_pure(g12)
         rhs = deck_from_pure(g1).then(deck_from_pure(g2))
-        yield f"FAIL k1={k1} k2={k2} lhs=j{lhs.j} rhs=j{rhs.j}" if lhs != rhs else None
+        if lhs != rhs:
+            failures.append(f"FAIL k1={g1.k} k2={g2.k} lhs=j{lhs.j} rhs=j{rhs.j}")
+    return Report(len(gs) * (2 + len(gs)), tuple(failures))
 
 
 def check_oracle(max_len: int = 8) -> Report:
@@ -347,6 +351,10 @@ def check_oracle(max_len: int = 8) -> Report:
     return Report(words + len(instances), tuple(failures))
 
 
-# Under postponed evaluation the annotation is the string "Report"; the sweeps
-# that _sweep wraps carry the class itself, and so does this one.
-check_oracle.__annotations__["return"] = Report
+# Under postponed evaluation each annotation is a string; the sweeps carry
+# the class itself, which inspect.signature reports.
+for _suite in (
+    check_equivariance, verify_action_axioms, check_shift_law, check_isomorphism, check_oracle
+):
+    _suite.__annotations__["return"] = Report
+del _suite

@@ -211,6 +211,19 @@ def test_degree_of_counts_incident_edges():
     assert g.degree_of(CanonicalForm(1, 0)) == 1
 
 
+def test_graph_accepts_only_sorted_distinct_vertices():
+    # degree_of bisects the vertices, so it answers only on sorted, distinct ones.
+    for group in ("J3", "J3_2"):
+        for radius in range(60):
+            g = build_window(group, radius)
+            assert CayleyGraph(group, radius, g.vertices, g.edges) == g
+    # tests/test_values.py pins the rejection of this graph's vertices reversed.
+    g = CayleyGraph("J3_2", 1, (CanonicalForm(-1, 0), CanonicalForm(0, 0), CanonicalForm(1, 0)), ())
+    assert [g.degree_of(v) for v in g.vertices] == [1, 2, 1]
+    with pytest.raises(ValueError, match="vertices must be sorted and distinct"):
+        CayleyGraph("J3", 1, (CanonicalForm(0, 1), CanonicalForm(0, 0)), ())
+
+
 def test_degree_of_matches_edge_count():
     for group in ("J3", "J3_2"):
         for radius in range(31):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cactuskit.equiv as equiv
-from cactuskit.confspace import COVER_LABELS, CoverVertex, DeckElement
+from cactuskit.confspace import COVER_LABELS, CoverVertex, DeckElement, deck_act
 from cactuskit.degree3 import (
     AFFINE_IDENTITY,
     IDENTITY,
@@ -178,6 +178,21 @@ def test_action_axioms_act_once_per_row(monkeypatch):
     assert len(calls) == 121 + 41 * 121 + 21 * 181 == 8_883
 
 
+def test_equivariance_maps_each_vertex_once():
+    # The default window: 41 shifts of the 303 vertices with k in -50..50
+    # reach the 423 vertices with k in -70..70.  Mapping the shifted vertex
+    # per case would call phi 303 + 12,423 = 12,726 times.
+    for phi, failures in ((cover_to_group, 0), (cover_to_group_perturbed, 2_020)):
+        calls = []
+        report = check_equivariance(
+            range(-20, 21), range(-50, 51), phi=lambda v, phi=phi: calls.append(v) or phi(v)
+        )
+        assert report.total == 12_423
+        assert len(report.failures) == failures
+        assert len(calls) == len(set(calls)) == 423
+    assert report.render().endswith("FAIL 2020/12423")
+
+
 def test_action_axioms_memory_stays_below_all_rows():
     # Two powers and 20,000 indices: the products 10, 11 and 12 and the inner
     # 5 and 6 make five rows.  Keeping every row beside the window's own
@@ -324,6 +339,157 @@ def test_equivariance_repeated_failure_lines():
         "FAIL j=1 v=[213]_1 lhs=(m=7, eps=0) rhs=(m=8, eps=0)\n"
         "FAIL 7/27"
     )
+
+
+def _equivariance_by_case(j_range, k_range, phi):
+    """check_equivariance with one check per case: phi of both vertices and
+    the action, every case."""
+    ks = list(k_range)
+    total = 0
+    failures = []
+    for j in j_range:
+        for v in (CoverVertex(label, k) for k in ks for label in COVER_LABELS):
+            total += 1
+            lhs = phi(deck_act(DeckElement(j), v))
+            rhs = equiv.pure_action(PureElement(j), phi(v))
+            if lhs != rhs:
+                failures.append(f"FAIL j={j} v={v} lhs={lhs} rhs={rhs}")
+    return Report(total, tuple(failures))
+
+
+def _action_by_case(k_range, m_range):
+    """verify_action_axioms with one check per case: three actions per
+    compatibility case."""
+    ks, ms = list(k_range), list(m_range)
+    total = 0
+    failures = []
+    for m in ms:
+        total += 1
+        got = equiv.pure_action(PureElement(0), CanonicalForm(m, 0))
+        if got != CanonicalForm(m, 0):
+            failures.append(f"FAIL identity m={m} got={got}")
+    for k1, k2 in product(ks, ks):
+        g1, g2 = PureElement(k1), PureElement(k2)
+        g12 = PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
+        for m in ms:
+            total += 1
+            h = CanonicalForm(m, 0)
+            lhs = equiv.pure_action(g12, h)
+            rhs = equiv.pure_action(g1, equiv.pure_action(g2, h))
+            if lhs != rhs:
+                failures.append(f"FAIL k1={k1} k2={k2} m={m} lhs={lhs} rhs={rhs}")
+    return Report(total, tuple(failures))
+
+
+def _shift_law_by_case(k_range, m_range):
+    """check_shift_law with one check per case; a failed index case has no
+    length case."""
+    ms = list(m_range)
+    total = 0
+    failures = []
+    for k in k_range:
+        for m in ms:
+            total += 1
+            out = equiv.pure_action(PureElement(k), CanonicalForm(m, 0))
+            if out != CanonicalForm(m + 3 * k, 0):
+                failures.append(f"FAIL k={k} m={m} got={out}")
+            elif m >= 0 and k >= 0:
+                total += 1
+                length = len(equiv.to_word(out))
+                if length != m + 3 * k:
+                    failures.append(f"FAIL k={k} m={m} length={length}")
+    return Report(total, tuple(failures))
+
+
+def _isomorphism_by_case(k_range):
+    """check_isomorphism with one check per case, building each element it uses."""
+    ks = list(k_range)
+    total = 0
+    failures = []
+    for k in ks:
+        total += 2
+        if equiv.pure_from_deck(equiv.deck_from_pure(PureElement(k))) != PureElement(k):
+            failures.append(f"FAIL round trip k={k} via deck")
+        if equiv.deck_from_pure(equiv.pure_from_deck(DeckElement(k))) != DeckElement(k):
+            failures.append(f"FAIL round trip j={k} via pure")
+    for k1, k2 in product(ks, ks):
+        total += 1
+        c1, c2 = PureElement(k1).to_canonical(), PureElement(k2).to_canonical()
+        lhs = equiv.deck_from_pure(PureElement.from_canonical(mul(c1, c2)))
+        rhs = equiv.deck_from_pure(PureElement(k1)).then(equiv.deck_from_pure(PureElement(k2)))
+        if lhs != rhs:
+            failures.append(f"FAIL k1={k1} k2={k2} lhs=j{lhs.j} rhs=j{rhs.j}")
+    return Report(total, tuple(failures))
+
+
+# A small window, possibly empty: range(start, start + size).
+_windows = st.builds(
+    lambda start, size: range(start, start + size), st.integers(-6, 6), st.integers(0, 5)
+)
+
+
+def _ranges(one_shot, *ranges):
+    """The ranges as given, or as one-shot iterators over the same values."""
+    return [iter(list(r)) for r in ranges] if one_shot else list(ranges)
+
+
+def test_sweeps_count_empty_windows():
+    assert check_equivariance(range(0), range(3)) == Report(0)
+    assert check_equivariance(range(3), range(0)) == Report(0)
+    assert verify_action_axioms(range(0), range(3)) == Report(3)
+    assert verify_action_axioms(range(3), range(0)) == Report(0)
+    assert check_shift_law(range(0), range(3)) == Report(0)
+    assert check_shift_law(range(3), range(0)) == Report(0)
+    assert check_isomorphism(range(0)) == Report(0)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    _windows,
+    _windows,
+    st.dictionaries(
+        st.tuples(st.sampled_from(COVER_LABELS), st.integers(-12, 12)),
+        st.builds(CanonicalForm, st.integers(-40, 40)),
+        max_size=5,
+    ),
+    st.sets(st.tuples(st.integers(-6, 6), st.integers(-40, 40)), max_size=5),
+    st.booleans(),
+)
+def test_equivariance_matches_case_by_case(j_range, k_range, wrong, at, one_shot):
+    # phi is wrong on the vertices in wrong, the action on the (k, m) in at.
+    def phi(v):
+        return wrong.get((v.label, v.k)) or cover_to_group(v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        _break_pure_action(mp, at)
+        expected = _equivariance_by_case(j_range, k_range, phi)
+        assert check_equivariance(*_ranges(one_shot, j_range, k_range), phi=phi) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    _windows,
+    _windows,
+    st.sets(st.tuples(st.integers(-6, 6), st.integers(-25, 25)), max_size=6),
+    st.booleans(),
+)
+def test_action_suites_match_case_by_case(k_range, m_range, at, one_shot):
+    with pytest.MonkeyPatch.context() as mp:
+        _break_pure_action(mp, at)
+        expected = _action_by_case(k_range, m_range)
+        assert verify_action_axioms(*_ranges(one_shot, k_range, m_range)) == expected
+        expected = _shift_law_by_case(k_range, m_range)
+        assert check_shift_law(*_ranges(one_shot, k_range, m_range)) == expected
+
+
+@settings(deadline=None, max_examples=100)
+@given(_windows, st.sets(st.integers(-6, 6), max_size=3), st.booleans())
+def test_isomorphism_matches_case_by_case(k_range, wrong, one_shot):
+    # deck_from_pure misses by one at the powers in wrong.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(equiv, "deck_from_pure", lambda g: DeckElement(g.k + (g.k in wrong)))
+        expected = _isomorphism_by_case(k_range)
+        assert check_isomorphism(*_ranges(one_shot, k_range)) == expected
 
 
 def test_shift_law_index_failure_skips_length_case(monkeypatch):

@@ -213,6 +213,18 @@ REJECTIONS = [
         ValueError,
         "edge endpoints must be CanonicalForms, got 'x' and CanonicalForm(m=0, eps=0)",
     ),
+    (
+        CayleyGraph,
+        ("J3_2", 1, (CanonicalForm(1, 0), F0, CanonicalForm(-1, 0)), ()),
+        ValueError,
+        "vertices must be sorted and distinct, got (m=0, eps=0) after (m=1, eps=0)",
+    ),
+    (
+        CayleyGraph,
+        ("J3", 0, (F0, CanonicalForm(0, 1), CanonicalForm(0, 1)), ()),
+        ValueError,
+        "vertices must be sorted and distinct, got (m=0, eps=1) after (m=0, eps=1)",
+    ),
 ]
 
 
