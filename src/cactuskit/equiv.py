@@ -16,7 +16,7 @@ control so the verifiers themselves can be shown to catch errors.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 from typing import Callable, Iterable
 
 from .confspace import COVER_LABELS, CoverVertex, DeckElement, deck_act
@@ -104,8 +104,18 @@ class Report(_Value):
     __slots__ = _fields = ("total", "failures")
 
     def __init__(self, total: int, failures: tuple[str, ...] = ()) -> None:
+        if type(total) is not int or total < 0:
+            raise ValueError(f"total must be a nonnegative int, got {total!r}")
+        if isinstance(failures, str):
+            raise ValueError(f"failures must be a sequence of lines, got {failures!r}")
+        failures = tuple(failures)
+        if not all(map(isinstance, failures, repeat(str))):
+            bad = next(f for f in failures if not isinstance(f, str))
+            raise ValueError(f"failure lines must be str, got {bad!r}")
+        if len(failures) > total:
+            raise ValueError(f"{len(failures)} failures exceed the total of {total} cases")
         _setfield(self, "total", total)
-        _setfield(self, "failures", tuple(failures))
+        _setfield(self, "failures", failures)
 
     def ok(self) -> bool:
         return not self.failures
@@ -164,13 +174,20 @@ def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Repo
     ``h``.  ``pure_action`` is a function of its arguments, so each value is
     computed once and looked up after:
 
-    - the action of one element on every ``h`` is a row, built the first time
-      the element appears as ``g12`` or ``g2`` and dropped after the last pair
-      that reads it: |k|^2 pairs have at most 2|k| - 1 distinct products;
-    - ``g1``'s action is kept by inner value while ``g1`` is current: its
-      inner values span at most |m| + 3(|k| - 1) indices, where its cases
-      number |k| |m|.  Where the action agrees with the case's lhs, the memo
-      holds that lhs rather than a second equal value.
+    - the action of one power on every ``h`` is a row, keyed by the int power
+      ``k``, built the first time the power appears as ``g12`` or ``g2`` and
+      dropped after the last pair that reads it: |k|^2 pairs have at most
+      2|k| - 1 distinct products;
+    - ``g1``'s action is kept by inner value, by its eps and then its m, while
+      ``g1`` is current: its inner values span at most |m| + 3(|k| - 1)
+      indices, where its cases number |k| |m|.
+
+    Every ``CanonicalForm`` a row or the memo keeps passes through a pool,
+    by eps and then m, that lives for the sweep, so equal forms are one
+    object and a case compares them by identity first.  ``CanonicalForm.__eq__``
+    is reflexive, so identity implies equality.  The pool takes exact
+    ``CanonicalForm``s only: ``__eq__`` refuses any other class, so any
+    other value is kept as it is and compared with ``!=``.
     """
     gs = [PureElement(k) for k in k_range]
     hs = [CanonicalForm(m, 0) for m in m_range]
@@ -184,31 +201,33 @@ def verify_action_axioms(k_range: Iterable[int], m_range: Iterable[int]) -> Repo
         PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
         for g1, g2 in product(gs, gs)
     ]
-    last = {}  # element -> index of the last pair that reads its row
+    last = {}  # power -> index of the last pair that reads its row
     for n, ((_, g2), g12) in enumerate(zip(product(gs, gs), products)):
-        last[g12] = last[g2] = n
-    rows = {}
+        last[g12.k] = last[g2.k] = n
+    pool = ({}, {})  # each exact CanonicalForm kept, by its eps and then its m
+
+    def pooled(c: CanonicalForm) -> CanonicalForm:
+        return pool[c.eps].setdefault(c.m, c) if type(c) is CanonicalForm else c
+
+    rows = {}  # power -> its action on each h
     n = 0
     for g1 in gs:
-        # g1's action on each inner value, by its eps and then its m: int keys
-        # hash in C, where a CanonicalForm key would call its Python __hash__.
-        acted = ({}, {})
+        acted = ({}, {})  # g1's action on each inner value, by its eps and then its m
         for g2 in gs:
             g12 = products[n]
             for g in (g12, g2):
-                if g not in rows:
-                    rows[g] = [pure_action(g, h) for h in hs]
-            for h, lhs, inner in zip(hs, rows[g12], rows[g2]):
+                if g.k not in rows:
+                    rows[g.k] = [pooled(pure_action(g, h)) for h in hs]
+            for h, lhs, inner in zip(hs, rows[g12.k], rows[g2.k]):
                 seen = acted[inner.eps]
                 rhs = seen.get(inner.m)
                 if rhs is None:
-                    rhs = pure_action(g1, inner)
-                    seen[inner.m] = lhs if rhs == lhs else rhs
-                if lhs != rhs:
+                    rhs = seen[inner.m] = pooled(pure_action(g1, inner))
+                if lhs is not rhs and lhs != rhs:
                     failures.append(f"FAIL k1={g1.k} k2={g2.k} m={h.m} lhs={lhs} rhs={rhs}")
-            for g in (g12, g2):
-                if last[g] == n:
-                    rows.pop(g, None)
+            for k in (g12.k, g2.k):
+                if last[k] == n:
+                    rows.pop(k, None)
             n += 1
     return Report(len(hs) * (1 + len(products)), tuple(failures))
 
@@ -248,20 +267,31 @@ def pure_from_deck(d: DeckElement) -> PureElement:
 
 
 def check_isomorphism(k_range: Iterable[int]) -> Report:
-    """deck_from_pure is a homomorphism and pure_from_deck inverts it."""
+    """deck_from_pure is a homomorphism and pure_from_deck inverts it.
+
+    ``deck_from_pure`` is a function of its argument, so it maps each
+    distinct power once, keyed by ``k``, the first time a case reaches it.
+    """
     gs = [PureElement(k) for k in k_range]
+    decks = {}  # power -> its image under deck_from_pure
+
+    def deck(g: PureElement) -> DeckElement:
+        if g.k not in decks:
+            decks[g.k] = deck_from_pure(g)
+        return decks[g.k]
+
     failures = []
     for g in gs:
         k = g.k
         d = DeckElement(k)
-        if pure_from_deck(deck_from_pure(g)) != g:
+        if pure_from_deck(deck(g)) != g:
             failures.append(f"FAIL round trip k={k} via deck")
-        if deck_from_pure(pure_from_deck(d)) != d:
+        if deck(pure_from_deck(d)) != d:
             failures.append(f"FAIL round trip j={k} via pure")
     for g1, g2 in product(gs, gs):
         g12 = PureElement.from_canonical(mul(g1.to_canonical(), g2.to_canonical()))
-        lhs = deck_from_pure(g12)
-        rhs = deck_from_pure(g1).then(deck_from_pure(g2))
+        lhs = deck(g12)
+        rhs = deck(g1).then(deck(g2))
         if lhs != rhs:
             failures.append(f"FAIL k1={g1.k} k2={g2.k} lhs=j{lhs.j} rhs=j{rhs.j}")
     return Report(len(gs) * (2 + len(gs)), tuple(failures))

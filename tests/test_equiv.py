@@ -210,6 +210,30 @@ def test_action_axioms_memory_stays_below_all_rows():
     assert peak < 6 * row
 
 
+def test_action_axioms_memory_shares_equal_forms():
+    # The same window as above: with one object per distinct form, the rows
+    # and g1's memo hold references, so the peak stays below four rows.
+    m_range = range(-20_000, 0)
+    row = len(m_range) * (sys.getsizeof(CanonicalForm(-20_000, 0)) + sys.getsizeof(-20_000) + 8)
+    tracemalloc.start()
+    try:
+        report = verify_action_axioms(range(5, 7), m_range)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok()
+    assert peak < 4 * row
+
+
+def test_isomorphism_maps_each_power_once(monkeypatch):
+    # The default window: the 31 powers -15..15 and their 61 products -30..30.
+    # Mapping g12, g1 and g2 per pair, and both round trips per power, would
+    # call deck_from_pure 3 * 961 + 2 * 31 = 2,945 times.
+    calls = _count_calls(monkeypatch, "deck_from_pure")
+    assert check_isomorphism(range(-15, 16)).ok()
+    assert len(calls) == len({g.k for (g,) in calls}) == 61
+
+
 def test_oracle_multiplies_once_per_pair_and_letter(monkeypatch):
     # 29,524 words of length 0..9, but their prefixes reach a few dozen
     # (form, map) pairs, each extended by 3 letters.
@@ -466,16 +490,32 @@ def test_equivariance_matches_case_by_case(j_range, k_range, wrong, at, one_shot
         assert check_equivariance(*_ranges(one_shot, j_range, k_range), phi=phi) == expected
 
 
+class _Lookalike(CanonicalForm):
+    """A form of another class: CanonicalForm.__eq__ refuses it, whatever its (m, eps)."""
+
+    __slots__ = ()
+
+
 @settings(deadline=None, max_examples=100)
 @given(
     _windows,
     _windows,
     st.sets(st.tuples(st.integers(-6, 6), st.integers(-25, 25)), max_size=6),
+    st.sets(st.tuples(st.integers(-6, 6), st.integers(-12, 12)), max_size=12),
     st.booleans(),
 )
-def test_action_suites_match_case_by_case(k_range, m_range, at, one_shot):
+def test_action_suites_match_case_by_case(k_range, m_range, at, lookalike, one_shot):
+    # The action misses by one at the (k, m) in at, and at those in lookalike
+    # returns its value as a _Lookalike with the same (m, eps).
     with pytest.MonkeyPatch.context() as mp:
         _break_pure_action(mp, at)
+        broken = equiv.pure_action
+
+        def action(g, h):
+            out = broken(g, h)
+            return _Lookalike(out.m, out.eps) if (g.k, h.m) in lookalike else out
+
+        mp.setattr(equiv, "pure_action", action)
         expected = _action_by_case(k_range, m_range)
         assert verify_action_axioms(*_ranges(one_shot, k_range, m_range)) == expected
         expected = _shift_law_by_case(k_range, m_range)

@@ -225,6 +225,11 @@ REJECTIONS = [
         ValueError,
         "vertices must be sorted and distinct, got (m=0, eps=1) after (m=0, eps=1)",
     ),
+    (Report, (True,), ValueError, "total must be a nonnegative int, got True"),
+    (Report, (-1,), ValueError, "total must be a nonnegative int, got -1"),
+    (Report, (1, "ab"), ValueError, "failures must be a sequence of lines, got 'ab'"),
+    (Report, (2, ("FAIL a", 1)), ValueError, "failure lines must be str, got 1"),
+    (Report, (1, ("FAIL a", "FAIL b")), ValueError, "2 failures exceed the total of 1 cases"),
 ]
 
 
