@@ -31,7 +31,6 @@ _EXPORTS = {
         "affine_model",
         "canonicalize",
         "evaluate_word",
-        "from_index",
         "in_dihedral_subgroup",
         "inv",
         "mul",
@@ -64,7 +63,6 @@ _EXPORTS = {
         "WordParseError",
         "apply_commute",
         "apply_nesting",
-        "concat",
         "equal_by_search",
         "free_reduce",
         "neighbors",

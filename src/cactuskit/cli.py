@@ -21,10 +21,10 @@ from .words import Word, WordParseError, free_reduce, parse_word
 
 
 # Caps on inputs whose cost explodes: `chambers` walks (n-1)! permutations,
-# the oracle suite writes a failure line for each failing word, up to 3^L of
-# them at each length L up to --radius, the other verify suites' case counts
-# are products of their range spans, and the shift law writes out a word of
-# m + 3k letters for each k, m >= 0.
+# the oracle suite walks all 3^L words of each length L up to --radius that
+# reaches a failing pair, the other verify suites' case counts are products
+# of their range spans, and the shift law writes out a word of m + 3k letters
+# for each k, m >= 0.
 _MAX_CHAMBER_LABELS = 10
 _MAX_ORACLE_RADIUS = 12
 _MAX_VERIFY_CASES = 1_000_000

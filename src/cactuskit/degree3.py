@@ -100,11 +100,6 @@ def canonicalize(w: Word) -> CanonicalForm:
     return CanonicalForm(m, eps)
 
 
-def from_index(m: int) -> CanonicalForm:
-    """The element with alternating index m and no trailing s13."""
-    return CanonicalForm(m, 0)
-
-
 def to_word(c: CanonicalForm) -> Word:
     """The length-(|m| + eps) word encoded by c."""
     first, second = (_S12, _S23) if c.m > 0 else (_S23, _S12)

@@ -14,8 +14,6 @@ deliberately wrong variant of the cover map is included as a negative
 control so the verifiers themselves can be shown to catch errors.
 """
 
-from __future__ import annotations
-
 from itertools import product, repeat
 from typing import Callable, Iterable
 
@@ -32,7 +30,7 @@ from .degree3 import (
     pure_element,
     to_word,
 )
-from .words import Generator, Word, _setfield, _Value, all_generators, relation_instances
+from .words import Word, _setfield, _Value, all_generators, relation_instances
 
 
 _S13 = CanonicalForm(0, 1)
@@ -56,7 +54,9 @@ class PureElement(_Value):
         _setfield(self, "_form", pure_element(k))
 
     @classmethod
-    def from_canonical(cls, c: CanonicalForm) -> PureElement:
+    def from_canonical(cls, c: CanonicalForm) -> "PureElement":
+        if type(c) is not CanonicalForm:
+            raise ValueError(f"a pure power comes from a CanonicalForm, got {c!r}")
         if c.m % 3 != 0 or c != pure_element(c.m // 3):
             raise ValueError(f"{c} is not a power of the pure generator")
         return cls(c.m // 3)
@@ -64,7 +64,7 @@ class PureElement(_Value):
     def to_canonical(self) -> CanonicalForm:
         return self._form
 
-    def then(self, other: PureElement) -> PureElement:
+    def then(self, other: "PureElement") -> "PureElement":
         return PureElement(self.k + other.k)
 
 
@@ -120,7 +120,7 @@ class Report(_Value):
     def ok(self) -> bool:
         return not self.failures
 
-    def merged(self, other: Report) -> Report:
+    def merged(self, other: "Report") -> "Report":
         return Report(self.total + other.total, self.failures + other.failures)
 
     def render(self) -> str:
@@ -314,77 +314,44 @@ def check_oracle(max_len: int = 8) -> Report:
     first word with that map to pass the first check sets; so the first word
     that reaches a pair settles its verdict, and each pair is decided once,
     at its first length and in that length's order, as a walk over the words
-    by length and in ``product`` order would.  Only a failing pair makes the
-    sweep write words out: a depth-first walk, kept to the prefixes that can
-    still reach a failing pair, gives each failing word its line in that order.
+    by length and in ``product`` order would.  Only a length L that reaches a
+    failing pair makes the sweep write words out: it walks all 3^L words of
+    that length in that order, however few fail, and gives each word that
+    ends at a failing pair its line.
     """
     gens = all_generators(3)
     steps = [(canonicalize(Word(3, (g,))), affine_model(g)) for g in gens]
-    pairs = [(IDENTITY, AFFINE_IDENTITY)]  # each distinct (form, map) reached
-    ids = {pairs[0]: 0}  # the inverse of pairs
-    succ = {}  # (id of a pair, letter index) -> id of the pair extended by it
-
-    def extend(p: int, i: int) -> int:
-        key = (p, i)
-        if key not in succ:
-            (c, a), (step_c, step_a) = pairs[p], steps[i]
-            pair = (mul(c, step_c), a.then(step_a))
-            if pair not in ids:
-                ids[pair] = len(pairs)
-                pairs.append(pair)
-            succ[key] = ids[pair]
-        return succ[key]
-
+    ids = {(IDENTITY, AFFINE_IDENTITY): 0}  # each distinct (form, map) reached -> its id
+    succ = []  # succ[id]: ids of the pairs the pair extends to, by letter index
     canon_to_affine = {}
     affine_to_canon = {}
-    tails = {}  # pair id -> None when the pair passes, else its failure line after the word
-    levels = []  # levels[L]: ids of the pairs that words of length L reach, in order
-    words = 0
-    for length in range(max_len + 1):
-        words += 3**length
-        level = [extend(p, i) for p in levels[-1] for i in range(3)] if levels else [0]
-        levels.append(list(dict.fromkeys(level)))
-        for p in levels[-1]:
-            if p not in tails:
-                c, a = pairs[p]
-                if canon_to_affine.setdefault(c, a) != a:
-                    tails[p] = f"canon={c} affine={a} expected={canon_to_affine[c]}"
-                elif affine_to_canon.setdefault(a, c) != c:
-                    tails[p] = f"affine={a} canon={c} expected={affine_to_canon[a]}"
-                else:
-                    tails[p] = None
-
+    tails = []  # tails[id]: None when the pair passes, else its failure line after the word
+    level = [0]  # ids of the pairs that words of the current length reach, in order
     failures = []
-
-    def walk(p: int, letters: tuple[Generator, ...], live: list[set[int]]) -> None:
-        # letters reach pair p; each extension through live ends at a failing pair.
-        if len(letters) == len(live) - 1:
-            failures.append(f"FAIL word={Word(3, letters)} {tails[p]}")
-            return
-        for i in range(3):
-            q = succ[p, i]
-            if q in live[len(letters) + 1]:
-                walk(q, letters + (gens[i],), live)
-
-    for length, level in enumerate(levels):
-        # live[d]: the pairs at length d that extend to a failing pair at this length.
-        live = [{p for p in level if tails[p] is not None}]
-        if live[0]:
-            for d in range(length - 1, -1, -1):
-                live.insert(0, {p for p in levels[d] if any(succ[p, i] in live[0] for i in range(3))})
-            walk(0, (), live)
+    for length in range(max_len + 1):
+        if length:
+            # The pairs first reached at the last length are the ones not yet extended.
+            for c, a in pairs[len(succ):]:
+                succ.append([ids.setdefault((mul(c, sc), a.then(sa)), len(ids)) for sc, sa in steps])
+            level = list(dict.fromkeys(q for p in level for q in succ[p]))
+        pairs = list(ids)
+        for c, a in pairs[len(tails):]:
+            if canon_to_affine.setdefault(c, a) != a:
+                tails.append(f"canon={c} affine={a} expected={canon_to_affine[c]}")
+            elif affine_to_canon.setdefault(a, c) != c:
+                tails.append(f"affine={a} canon={c} expected={affine_to_canon[a]}")
+            else:
+                tails.append(None)
+        if any(tails[p] is not None for p in level):
+            for word in product(range(3), repeat=length):
+                p = 0
+                for i in word:
+                    p = succ[p][i]
+                if tails[p] is not None:
+                    failures.append(f"FAIL word={Word(3, tuple(gens[i] for i in word))} {tails[p]}")
     instances = list(relation_instances(3))
     for family, lhs, rhs in instances:
         relator = Word(3, lhs.letters + tuple(reversed(rhs.letters)))
         if evaluate_word(relator) != AFFINE_IDENTITY:
             failures.append(f"FAIL {family} relator {lhs} = {rhs} not respected")
-    return Report(words + len(instances), tuple(failures))
-
-
-# Under postponed evaluation each annotation is a string; the sweeps carry
-# the class itself, which inspect.signature reports.
-for _suite in (
-    check_equivariance, verify_action_axioms, check_shift_law, check_isomorphism, check_oracle
-):
-    _suite.__annotations__["return"] = Report
-del _suite
+    return Report(sum(3**n for n in range(max_len + 1)) + len(instances), tuple(failures))

@@ -173,16 +173,6 @@ def parse_word(text: str, degree: int = 3) -> Word:
     return Word(degree, tuple(letters))
 
 
-def concat(*ws: Word) -> Word:
-    if not ws:
-        raise ValueError("need at least one word")
-    degree = ws[0].degree
-    for w in ws[1:]:
-        if w.degree != degree:
-            raise DegreeMismatchError("cannot concatenate words of different degrees")
-    return Word(degree, tuple(chain.from_iterable(w.letters for w in ws)))
-
-
 class PresentationSpec(_Value):
     """Degree n together with the admitted interval lengths.
 
@@ -197,6 +187,9 @@ class PresentationSpec(_Value):
         _check_degree(degree)
         lengths = frozenset(range(2, degree + 1))
         subset = lengths if subset == "full" else frozenset(subset)
+        for length in subset:
+            if type(length) is not int:
+                raise ValueError(f"interval lengths must be ints, got {length!r}")
         if not subset <= lengths:
             bad = sorted(subset - lengths)
             raise ValueError(f"interval lengths {bad} lie outside [2, {degree}]")

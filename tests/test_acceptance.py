@@ -15,7 +15,6 @@ from cactuskit.confspace import enumerate_chambers
 from cactuskit.degree3 import (
     CanonicalForm,
     canonicalize,
-    from_index,
     mul,
     to_word,
 )
@@ -61,7 +60,7 @@ def test_criterion_02_index_parametrization():
     def body():
         words = set()
         for m in range(-40, 41):
-            c = from_index(m)
+            c = CanonicalForm(m, 0)
             w = to_word(c)
             assert canonicalize(w) == c
             assert len(w) == abs(m)

@@ -4,7 +4,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cactuskit.equiv as equiv
 from cactuskit.confspace import COVER_LABELS, CoverVertex, DeckElement, deck_act
@@ -37,7 +37,7 @@ from cactuskit.equiv import (
     pure_from_deck,
     verify_action_axioms,
 )
-from cactuskit.words import Word, all_generators, concat, parse_word, relation_instances
+from cactuskit.words import Word, all_generators, parse_word, relation_instances
 
 
 def test_pure_element_round_trip():
@@ -57,6 +57,13 @@ def test_pure_element_validation():
     for k in (1.5, 1.0, True, "1"):
         with pytest.raises(ValueError, match=f"pure power must be an int, got {k!r}"):
             PureElement(k)
+
+
+def test_from_canonical_rejects_other_types():
+    for c in (5, (3, 0), PureElement(1), None):
+        with pytest.raises(ValueError) as info:
+            PureElement.from_canonical(c)
+        assert str(info.value) == f"a pure power comes from a CanonicalForm, got {c!r}"
 
 
 def test_pure_action_examples():
@@ -84,9 +91,9 @@ def test_pure_action_matches_word_level():
         gw = to_word(pure_element(k))
         for m in range(-10, 11):
             h = CanonicalForm(m, 0)
-            raw = canonicalize(concat(gw, to_word(h)))
+            raw = canonicalize(Word(3, gw.letters + to_word(h).letters))
             if not in_dihedral_subgroup(raw):
-                raw = canonicalize(concat(gw, to_word(h), flip))
+                raw = canonicalize(Word(3, gw.letters + to_word(h).letters + flip.letters))
             assert pure_action(PureElement(k), h) == raw
 
 
@@ -615,6 +622,8 @@ _wrong_products = st.dictionaries(
 
 @settings(deadline=None, max_examples=100)
 @given(_wrong_products, st.integers(0, 6))
+# Criterion 01's radius, where s1,2 s1,2's wrong form fails 2,441 words.
+@example({(CanonicalForm(1, 0), CanonicalForm(1, 0)): CanonicalForm(9, 0)}, 8)
 def test_oracle_matches_word_by_word_under_broken_mul(wrong, max_len):
     real = equiv.mul
     equiv.mul = lambda c1, c2: wrong.get((c1, c2)) or real(c1, c2)

@@ -230,6 +230,7 @@ REJECTIONS = [
     (Report, (1, "ab"), ValueError, "failures must be a sequence of lines, got 'ab'"),
     (Report, (2, ("FAIL a", 1)), ValueError, "failure lines must be str, got 1"),
     (Report, (1, ("FAIL a", "FAIL b")), ValueError, "2 failures exceed the total of 1 cases"),
+    (PresentationSpec, (3, [2.0]), ValueError, "interval lengths must be ints, got 2.0"),
 ]
 
 

@@ -18,7 +18,6 @@ from cactuskit.words import (
     all_generators,
     apply_commute,
     apply_nesting,
-    concat,
     equal_by_search,
     free_reduce,
     neighbors,
@@ -110,8 +109,6 @@ def test_parse_word_builds_one_generator_per_distinct_token(monkeypatch):
 def test_word_rejects_mixed_degrees():
     with pytest.raises(DegreeMismatchError):
         Word(3, (Generator(1, 2, 4),))
-    with pytest.raises(DegreeMismatchError):
-        concat(w3("s1,2"), w4("s1,2"))
 
 
 def test_word_rejects_non_int_degree():
@@ -292,7 +289,7 @@ def degree_3_pairs(draw):
     """Two random words, or a word and a respelling of the same element."""
     w1, w2 = draw(words_of(3, max_size=9)), draw(words_of(3, max_size=9))
     if draw(st.booleans()):
-        w2 = concat(w2, Word(3, reversed(w2.letters)), to_word(canonicalize(w1)))
+        w2 = Word(3, w2.letters + w2.letters[::-1] + to_word(canonicalize(w1)).letters)
     return w1, w2
 
 
