@@ -29,7 +29,9 @@ pins that the two agree.
 An independent cross-check lives in ``AffineMap``: the degree-3 group is
 faithfully modeled by integer maps x -> sign*x + shift with s12: x -> -x,
 s13: x -> 1 - x, s23: x -> 2 - x.  The model is derived separately from the
-coordinate arithmetic so the two can audit each other.
+coordinate arithmetic so the two can audit each other.  Every generator's
+sign is -1, so ``evaluate_word`` folds a word in closed form: an alternating
+sum of the shifts, which it reads only from the generator table.
 """
 
 from __future__ import annotations
@@ -87,26 +89,33 @@ def canonicalize(w: Word) -> CanonicalForm:
     if w.degree != 3:
         raise DegreeMismatchError(f"canonical form is degree-3 only, got degree {w.degree}")
     # The parity-rule fold in closed form (see the module docstring): 4 - p - q
-    # is +1, -1 and 0 for s12, s23 and s13, and each s13 flips eps.
+    # is +1, -1 and 0 for s12, s23 and s13, added at even positions and
+    # subtracted at odd ones, and each s13 flips eps.
     m = eps = 0
-    sign = 1
-    for g in w.letters:
+    for g in w.letters[::2]:
         t = 4 - g.p - g.q
         if t:
-            m += sign * t
+            m += t
         else:
             eps ^= 1
-        sign = -sign
+    for g in w.letters[1::2]:
+        t = 4 - g.p - g.q
+        if t:
+            m -= t
+        else:
+            eps ^= 1
     return CanonicalForm(m, eps)
 
 
 def to_word(c: CanonicalForm) -> Word:
     """The length-(|m| + eps) word encoded by c."""
     first, second = (_S12, _S23) if c.m > 0 else (_S23, _S12)
-    letters = [first if i % 2 == 0 else second for i in range(abs(c.m))]
+    letters = (first, second) * (abs(c.m) // 2)
+    if c.m % 2:
+        letters += (first,)
     if c.eps:
-        letters.append(_S13)
-    return Word(3, tuple(letters))
+        letters += (_S13,)
+    return Word(3, letters)
 
 
 def mul(c1: CanonicalForm, c2: CanonicalForm) -> CanonicalForm:
@@ -188,15 +197,20 @@ def affine_model(g: Generator) -> AffineMap:
 def evaluate_word(w: Word) -> AffineMap:
     """Image of a degree-3 word in the affine model, leftmost letter first.
 
-    Folds ``AffineMap.then`` over the letters' images in ``_AFFINE_BY_SUM``,
-    the (sign, shift) table indexed by a letter's p + q, as two ints, and
-    builds one ``AffineMap`` at the end.  It reads nothing but that table, so
-    it stays independent of the (m, eps) arithmetic it audits.
+    Every sign in ``_AFFINE_BY_SUM``, the (sign, shift) table indexed by a
+    letter's p + q, is -1: each generator maps x to c - x.  So the fold of
+    ``AffineMap.then`` over letters with shifts c_1, ..., c_L is
+    x -> (-1)^L x + c_L - c_{L-1} + ..., with the last c positive.  It reads
+    nothing but that table and builds one ``AffineMap``, so it stays
+    independent of the (m, eps) arithmetic it audits.
     """
     if w.degree != 3:
         raise DegreeMismatchError(f"affine model is degree-3 only, got degree {w.degree}")
-    sign, shift = 1, 0
-    for g in w.letters:
-        a_sign, a_shift = _AFFINE_BY_SUM[g.p + g.q]
-        sign, shift = sign * a_sign, a_sign * shift + a_shift
-    return AffineMap(sign, shift)
+    letters = w.letters
+    odd = len(letters) % 2
+    shift = 0
+    for g in letters[1 - odd :: 2]:
+        shift += _AFFINE_BY_SUM[g.p + g.q][1]
+    for g in letters[odd::2]:
+        shift -= _AFFINE_BY_SUM[g.p + g.q][1]
+    return AffineMap(-1 if odd else 1, shift)

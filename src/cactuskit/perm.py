@@ -6,7 +6,8 @@ on positions before the right factor does.
 ``project`` builds no ``Permutation`` per letter.  It keeps the preimage
 array of the running product (the label at each position); a letter acts
 after the product so far, on positions, so it reverses one block of that
-array.  The array is inverted once at the end.
+array: one swap for a block of two or three positions, a slice assignment
+for a longer one.  The array is inverted once at the end.
 """
 
 from __future__ import annotations
@@ -71,14 +72,20 @@ def project(w: Word) -> Permutation:
     ``pos[j]`` is the label that the product so far sends to position j
     (``pos[0]`` stays 0, a stop for the slice read when p == 1).  Following
     that product by s_{p,q} sends the label at position j to position
-    p + q - j, which reverses ``pos[p:q + 1]``.  The fold is therefore
+    p + q - j, which reverses ``pos[p:q + 1]``: one swap of ``pos[p]`` and
+    ``pos[q]`` when q - p <= 2 (every letter at degree 3), a slice assignment
+    otherwise.  The fold is therefore
     ``Permutation.identity(n).then(interval_reversal(p, q, n))...`` over the
-    letters, at O(q - p + 1) int work per letter and one ``Permutation`` per call.
+    letters, with one ``Permutation`` per call.
     """
     pos = list(range(w.degree + 1))
     for g in w.letters:
         p = g.p
-        pos[p : g.q + 1] = pos[g.q : p - 1 : -1]
+        q = g.q
+        if q - p <= 2:
+            pos[p], pos[q] = pos[q], pos[p]
+        else:
+            pos[p : q + 1] = pos[q : p - 1 : -1]
     images = [0] * (w.degree + 1)
     for j, label in enumerate(pos):
         images[label] = j

@@ -203,11 +203,14 @@ class PresentationSpec(_Value):
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent equal letters until none remain."""
     out: list[Generator] = []
+    top = None  # out[-1], or None while out is empty
     for g in w.letters:
-        if out and out[-1].p == g.p and out[-1].q == g.q:
+        if g is top or top is not None and top.p == g.p and top.q == g.q:
             out.pop()
+            top = out[-1] if out else None
         else:
             out.append(g)
+            top = g
     return Word(w.degree, tuple(out))
 
 

@@ -3,6 +3,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from cactuskit import degree3
 from cactuskit.degree3 import (
     AFFINE_IDENTITY,
     IDENTITY,
@@ -73,6 +74,15 @@ def test_from_index_and_to_word_examples():
     assert str(to_word(CanonicalForm(-3, 0))) == "s2,3 s1,2 s2,3"
     assert str(to_word(CanonicalForm(1, 1))) == "s1,2 s1,3"
     assert str(to_word(CanonicalForm(-2, 0))) == "s2,3 s1,2"
+
+
+def test_to_word_alternates_from_the_sign_of_m():
+    s12, s13, s23 = Generator(1, 2, 3), Generator(1, 3, 3), Generator(2, 3, 3)
+    for m in range(-41, 42):
+        first, second = (s12, s23) if m > 0 else (s23, s12)
+        alternating = [first if i % 2 == 0 else second for i in range(abs(m))]
+        assert to_word(CanonicalForm(m, 0)).letters == tuple(alternating)
+        assert to_word(CanonicalForm(m, 1)).letters == tuple(alternating + [s13])
 
 
 def test_round_trip_window():
@@ -189,6 +199,22 @@ def test_evaluate_word_equals_the_fold_of_affine_images(w):
     for g in w.letters:
         acc = acc.then(affine_model(g))
     assert evaluate_word(w) == acc
+
+
+def test_every_affine_sign_is_minus_one():
+    # evaluate_word's closed form rests on this: each generator maps x to c - x.
+    images = [image for image in degree3._AFFINE_BY_SUM if image is not None]
+    assert [sign for sign, _ in images] == [-1, -1, -1]
+
+
+def test_evaluate_word_equals_the_fold_on_every_word_up_to_length_8():
+    assert evaluate_word(Word(3)) == AFFINE_IDENTITY
+    fold = {(): AFFINE_IDENTITY}
+    for w in all_words_up_to(8):
+        if w.letters:
+            fold[w.letters] = fold[w.letters[:-1]].then(affine_model(w.letters[-1]))
+        assert evaluate_word(w) == fold[w.letters]
+    assert len(fold) == 9841
 
 
 @given(degree3_words)

@@ -108,6 +108,35 @@ def test_project_equals_the_fold_at_degree_1000():
     assert is_pure(Word.from_pairs(1000, edges + edges[::-1]))
 
 
+@pytest.mark.parametrize("n, max_len", [(3, 6), (4, 4), (5, 3)])
+def test_project_equals_the_fold_on_every_short_word(n, max_len):
+    gens = all_generators(n)
+    for length in range(max_len + 1):
+        for letters in product(gens, repeat=length):
+            w = Word(n, letters)
+            expected = project_by_fold(w)
+            assert project(w) == expected
+            assert is_pure(w) == expected.is_identity()
+
+
+def test_project_swaps_and_slices_blocks_at_both_ends_at_degree_1000():
+    # Blocks of 2 and 3 positions take the swap, blocks of 4 the slice; each
+    # length appears at position 1 (the slice stops at pos[0]) and at n.
+    n = 1000
+    ends = [(1, 2), (1, 3), (1, 4), (n - 1, n), (n - 2, n), (n - 3, n)]
+    rng = random.Random(23)
+    middle = [(p, p + rng.choice((1, 2, 3))) for p in rng.choices(range(1, n - 2), k=300)]
+    for pairs in (ends, middle + ends, ends + middle + ends[::-1]):
+        w = Word.from_pairs(n, pairs)
+        expected = project_by_fold(w)
+        assert not expected.is_identity()
+        assert project(w) == expected
+        assert is_pure(w) is False
+    for p, q in ends:
+        assert project(Word.from_pairs(n, [(p, q)])) == interval_reversal(p, q, n)
+    assert is_pure(Word.from_pairs(n, ends + middle + middle[::-1] + ends[::-1]))
+
+
 def test_project_and_is_pure_validate_one_permutation(monkeypatch):
     gens = all_generators(4)
     w = Word(4, tuple(gens[i % len(gens)] for i in range(10_000)))

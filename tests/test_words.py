@@ -126,6 +126,15 @@ def test_free_reduce():
     assert free_reduce(unchanged) == unchanged
 
 
+def test_free_reduce_compares_letters_by_value():
+    # from_pairs builds one Generator per letter, so equal letters are
+    # distinct objects here; parse_word shares one object per token.
+    w = Word.from_pairs(3, [(1, 2), (2, 3), (2, 3), (1, 2), (1, 3), (1, 2)])
+    assert free_reduce(w) == w3("s1,3 s1,2")
+    mixed = Word(3, w3("s1,2 s2,3").letters + Word.from_pairs(3, [(2, 3), (1, 2), (1, 2)]).letters)
+    assert free_reduce(mixed) == w3("s1,2")
+
+
 @given(words_of(4))
 def test_free_reduce_idempotent(w):
     once = free_reduce(w)
