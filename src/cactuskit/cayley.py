@@ -3,16 +3,17 @@
 Vertices are the canonical forms of word length at most the window radius, in
 ``(m, eps)`` order.  An edge ``(src, dst, gen)`` with ``src < dst`` joins v and
 v gen when both lie in the window (every generator is an involution); edges are
-sorted by ``(src, dst, str(gen))``.  ``export_json`` writes the layout of
+sorted by ``(src, dst, str(gen))``.  A graph keeps each vertex's ``(m, eps)``
+as the int ``2m + eps``, which orders as ``(m, eps)`` does, in a frozenset:
+the constructor checks edge endpoints against it and ``degree_of`` looks
+vertices up in it.  ``export_json`` writes the layout of
 ``json.dumps(payload, indent=2)`` itself, without loading ``json``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .degree3 import CanonicalForm, _alt_concat, canonicalize, mul
-from .words import Generator, PresentationSpec, Word, _setfield, _Value
+from .words import Generator, PresentationSpec, Word, _setters, _Value
 
 GROUP_FULL = "J3"
 GROUP_DIHEDRAL = "J3_2"
@@ -39,10 +40,12 @@ def _check_window(group: str, radius: int) -> None:
 
 
 class CayleyGraph(_Value):
-    """A window of a Cayley graph whose edges join two of its ``vertices``;
-    ``degree_of`` bisects the ``vertices``, which must be sorted and distinct."""
+    """A window of a Cayley graph whose edges join two of its ``vertices``,
+    which must be sorted and distinct; ``degree_of`` looks vertices up by key."""
 
-    __slots__ = _fields = ("group", "radius", "vertices", "edges")
+    # _keys, each vertex's 2m + eps, is not a field.
+    __slots__ = ("group", "radius", "vertices", "edges", "_keys")
+    _fields = ("group", "radius", "vertices", "edges")
 
     def __init__(
         self, group: str, radius: int, vertices: tuple[CanonicalForm, ...], edges: tuple[Edge, ...]
@@ -50,21 +53,21 @@ class CayleyGraph(_Value):
         _check_window(group, radius)
         vertices = tuple(vertices)
         edges = tuple(map(tuple, edges))
-        # Each vertex's (m, eps) as the int 2m + eps, which orders as (m, eps)
-        # does: the keys must strictly increase for degree_of to bisect the
-        # vertices, and checking an edge endpoint builds no tuple and calls no
+        # The keys strictly increase exactly when the vertices are sorted and
+        # distinct, and looking one up builds no tuple and calls no
         # Python-level __hash__.
-        keys = set()
-        last = prev = None  # the previous vertex's key, and the vertex
+        keys = []
+        prev = None  # the previous vertex
         # The exports write labels unescaped; these types' labels need no escaping.
         for v in vertices:
             if type(v) is not CanonicalForm:
                 raise ValueError(f"vertex must be a CanonicalForm, got {v!r}")
             key = 2 * v.m + v.eps
-            if last is not None and key <= last:
+            if keys and key <= keys[-1]:
                 raise ValueError(f"vertices must be sorted and distinct, got {v} after {prev}")
-            keys.add(key)
-            last, prev = key, v
+            keys.append(key)
+            prev = v
+        keys = frozenset(keys)
         for src, dst, gen in edges:
             if type(src) is not CanonicalForm or type(dst) is not CanonicalForm:
                 raise ValueError(f"edge endpoints must be CanonicalForms, got {src!r} and {dst!r}")
@@ -72,21 +75,25 @@ class CayleyGraph(_Value):
                 raise ValueError(f"edge {src} -- {dst} does not join two vertices of the window")
             if type(gen) is not Generator:
                 raise ValueError(f"edge label must be a Generator, got {gen!r}")
-        _setfield(self, "group", group)
-        _setfield(self, "radius", radius)
-        _setfield(self, "vertices", vertices)
-        _setfield(self, "edges", edges)
+        _set_group(self, group)
+        _set_radius(self, radius)
+        _set_vertices(self, vertices)
+        _set_edges(self, edges)
+        _set_keys(self, keys)
 
     def degree_of(self, v: CanonicalForm) -> int:
         """Number of edges at v: one per generator whose product with v stays
         in the window (every generator is an involution), 0 off the window."""
-        if not self._has(v):
+        if type(v) is not CanonicalForm:
+            raise ValueError(f"vertex must be a CanonicalForm, got {v!r}")
+        keys = self._keys
+        if 2 * v.m + v.eps not in keys:
             return 0
-        return sum(self._has(mul(v, gf)) for _, gf in _GENERATORS[self.group])
+        ends = [mul(v, gf) for _, gf in _GENERATORS[self.group]]
+        return sum(2 * w.m + w.eps in keys for w in ends)
 
-    def _has(self, v: CanonicalForm) -> bool:
-        i = bisect_left(self.vertices, v)
-        return i < len(self.vertices) and self.vertices[i] == v
+
+_set_group, _set_radius, _set_vertices, _set_edges, _set_keys = _setters(CayleyGraph)
 
 
 def build_window(group: str, radius: int) -> CayleyGraph:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .words import DegreeMismatchError, _Ordered, _setfield, _Value
+from .words import DegreeMismatchError, _Ordered, _setters, _Value
 
 
 class Chamber(_Ordered):
@@ -35,7 +35,7 @@ class Chamber(_Ordered):
         _check_arrangement(order)
         if order[0] != 1 or order[1] > order[-1]:
             raise ValueError(f"{order} is not a canonical chamber representative")
-        _setfield(self, "order", order)
+        _set_order(self, order)
 
     @property
     def degree(self) -> int:
@@ -50,6 +50,9 @@ class Chamber(_Ordered):
 
     def __str__(self) -> str:
         return f"[{self.name}]"
+
+
+(_set_order,) = _setters(Chamber)
 
 
 def _rotate_to_front(seq: tuple[int, ...], anchor: int) -> tuple[int, ...]:
@@ -121,11 +124,14 @@ class DualComplex(_Value):
     def __init__(
         self, vertices: tuple[Chamber, ...], edges: tuple[tuple[Chamber, Chamber], ...]
     ) -> None:
-        _setfield(self, "vertices", tuple(vertices))
-        _setfield(self, "edges", tuple(map(tuple, edges)))
+        _set_vertices(self, tuple(vertices))
+        _set_edges(self, tuple(map(tuple, edges)))
 
     def degree_of(self, c: Chamber) -> int:
         return sum(c in e for e in self.edges)
+
+
+_set_vertices, _set_edges = _setters(DualComplex)
 
 
 def build_dual_complex() -> DualComplex:
@@ -153,11 +159,14 @@ class CoverVertex(_Value):
             raise ValueError(f"label must be one of {COVER_LABELS}, got {label!r}")
         if type(k) is not int:
             raise ValueError(f"winding index must be an int, got {k!r}")
-        _setfield(self, "label", label)
-        _setfield(self, "k", k)
+        _set_label(self, label)
+        _set_k(self, k)
 
     def __str__(self) -> str:
         return f"[{self.label}]_{self.k}"
+
+
+_set_label, _set_k = _setters(CoverVertex)
 
 
 class DeckElement(_Value):
@@ -168,10 +177,13 @@ class DeckElement(_Value):
     def __init__(self, j: int) -> None:
         if type(j) is not int:
             raise ValueError(f"deck power must be an int, got {j!r}")
-        _setfield(self, "j", j)
+        _set_j(self, j)
 
     def then(self, other: DeckElement) -> DeckElement:
         return DeckElement(self.j + other.j)
+
+
+(_set_j,) = _setters(DeckElement)
 
 
 def cover_window(K: int) -> list[CoverVertex]:

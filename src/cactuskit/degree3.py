@@ -36,7 +36,7 @@ sum of the shifts, which it reads only from the generator table.
 
 from __future__ import annotations
 
-from .words import DegreeMismatchError, Generator, Word, _Ordered, _setfield, _Value
+from .words import DegreeMismatchError, Generator, Word, _Ordered, _setters, _Value
 
 
 class CanonicalForm(_Ordered):
@@ -49,13 +49,18 @@ class CanonicalForm(_Ordered):
             raise ValueError(f"m must be an int, got {m!r}")
         if type(eps) is not int or eps not in (0, 1):
             raise ValueError(f"eps must be 0 or 1, got {eps!r}")
-        _setfield(self, "m", m)
-        _setfield(self, "eps", eps)
+        _set_m(self, m)
+        _set_eps(self, eps)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.m == other.m and self.eps == other.eps
+
+    def __ne__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m != other.m or self.eps != other.eps
 
     def __hash__(self) -> int:
         return hash((self.m, self.eps))
@@ -71,6 +76,8 @@ class CanonicalForm(_Ordered):
     def word_length(self) -> int:
         return abs(self.m) + self.eps
 
+
+_set_m, _set_eps = _setters(CanonicalForm)
 
 IDENTITY = CanonicalForm(0, 0)
 
@@ -158,8 +165,8 @@ class AffineMap(_Value):
             raise ValueError(f"sign must be +-1, got {sign!r}")
         if type(shift) is not int:
             raise ValueError(f"shift must be an int, got {shift!r}")
-        _setfield(self, "sign", sign)
-        _setfield(self, "shift", shift)
+        _set_sign(self, sign)
+        _set_shift(self, shift)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -179,6 +186,8 @@ class AffineMap(_Value):
     def __str__(self) -> str:
         return f"(sign={self.sign:+d}, shift={self.shift})"
 
+
+_set_sign, _set_shift = _setters(AffineMap)
 
 AFFINE_IDENTITY = AffineMap(1, 0)
 

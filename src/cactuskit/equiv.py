@@ -25,15 +25,11 @@ from .degree3 import (
     affine_model,
     canonicalize,
     evaluate_word,
-    in_dihedral_subgroup,
     mul,
     pure_element,
     to_word,
 )
-from .words import Word, _setfield, _Value, all_generators, relation_instances
-
-
-_S13 = CanonicalForm(0, 1)
+from .words import Word, _setters, _Value, all_generators, relation_instances
 
 
 class OutsideSubgroupError(ValueError):
@@ -50,8 +46,8 @@ class PureElement(_Value):
     def __init__(self, k: int) -> None:
         if type(k) is not int:
             raise ValueError(f"pure power must be an int, got {k!r}")
-        _setfield(self, "k", k)
-        _setfield(self, "_form", pure_element(k))
+        _set_k(self, k)
+        _set_form(self, pure_element(k))
 
     @classmethod
     def from_canonical(cls, c: CanonicalForm) -> "PureElement":
@@ -68,14 +64,16 @@ class PureElement(_Value):
         return PureElement(self.k + other.k)
 
 
+_set_k, _set_form = _setters(PureElement)
+
+
 def pure_action(g: PureElement, h: CanonicalForm) -> CanonicalForm:
     """Act on an eps=0 element; the result has index h.m + 3k and eps=0."""
-    if not in_dihedral_subgroup(h):
+    if h.eps:
         raise OutsideSubgroupError(f"{h} has a trailing s13; the action is not defined there")
-    out = mul(g.to_canonical(), h)
-    if out.eps:
-        out = mul(out, _S13)
-    return out
+    out = mul(g._form, h)
+    # Dropping a trailing s13: out times s13 has out's index and eps 0.
+    return CanonicalForm(out.m, 0) if out.eps else out
 
 
 def cover_to_group(v: CoverVertex) -> CanonicalForm:
@@ -92,7 +90,7 @@ def cover_to_group_perturbed(v: CoverVertex) -> CanonicalForm:
 
 def group_to_cover(c: CanonicalForm) -> CoverVertex:
     """Inverse of cover_to_group."""
-    if not in_dihedral_subgroup(c):
+    if c.eps:
         raise OutsideSubgroupError(f"{c} has a trailing s13; no cover vertex maps to it")
     k, r = divmod(c.m + 1, 3)
     return CoverVertex(COVER_LABELS[2 - r], k)
@@ -114,8 +112,8 @@ class Report(_Value):
             raise ValueError(f"failure lines must be str, got {bad!r}")
         if len(failures) > total:
             raise ValueError(f"{len(failures)} failures exceed the total of {total} cases")
-        _setfield(self, "total", total)
-        _setfield(self, "failures", failures)
+        _set_total(self, total)
+        _set_failures(self, failures)
 
     def ok(self) -> bool:
         return not self.failures
@@ -129,6 +127,9 @@ class Report(_Value):
         else:
             tail = f"FAIL {len(self.failures)}/{self.total}"
         return "\n".join((*self.failures, tail))
+
+
+_set_total, _set_failures = _setters(Report)
 
 
 CoverMap = Callable[[CoverVertex], CanonicalForm]

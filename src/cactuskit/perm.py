@@ -12,7 +12,7 @@ for a longer one.  The array is inverted once at the end.
 
 from __future__ import annotations
 
-from .words import DegreeMismatchError, Word, _setfield, _Value
+from .words import DegreeMismatchError, Word, _setters, _Value
 
 
 class Permutation(_Value):
@@ -26,7 +26,7 @@ class Permutation(_Value):
         ints = all(type(v) is int for v in images)
         if not ints or sorted(images) != list(range(1, n + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{n}")
-        _setfield(self, "images", images)
+        _set_images(self, images)
 
     @classmethod
     def identity(cls, n: int) -> Permutation:
@@ -56,6 +56,9 @@ class Permutation(_Value):
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) for v in self.images) + "]"
+
+
+(_set_images,) = _setters(Permutation)
 
 
 def interval_reversal(p: int, q: int, n: int) -> Permutation:

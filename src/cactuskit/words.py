@@ -28,19 +28,29 @@ from functools import total_ordering
 from itertools import chain
 from typing import Iterable, Iterator, Literal
 
-_setfield = object.__setattr__
+
+def _setters(cls: type) -> tuple:
+    """The ``__set__`` of each slot named in ``cls.__slots__``, in that order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class _Value:
     """Base of the package's immutable values.
 
     A subclass's ``__init__`` checks its arguments as locals, then stores them
-    in the slots named in ``_fields`` through ``_setfield``, sequences as
-    tuples.  A value equals and hashes as the values of its class with equal
-    fields (``_Ordered`` ones also order by them), and copies through
-    ``__init__``.  Two classes write ``__eq__`` and ``__hash__`` out, because
-    a workload calls them per case: ``CanonicalForm`` (the sweeps' comparisons
-    and the Cayley windows' sets) and ``AffineMap`` (the oracle's dicts)."""
+    in its slots, sequences as tuples.  ``__setattr__`` and ``__delattr__``
+    raise, so the stores go through each slot descriptor's own ``__set__``,
+    bound once per class by ``_setters`` after the class body.  A bound
+    ``__set__`` stores straight into the slot, where the generic attribute
+    store of ``object`` would first look the descriptor up by name, about a
+    quarter of the cost of building a two-field value.
+
+    A value equals and hashes as the values of its class with equal fields
+    (``_Ordered`` ones also order by them), and copies through ``__init__``.
+    Two classes write ``__eq__`` and ``__hash__`` out, because a workload
+    calls them per case: ``CanonicalForm`` (the sweeps' comparisons, so it
+    writes ``__ne__`` out too, and the Cayley windows' sets) and
+    ``AffineMap`` (the oracle's dicts)."""
 
     __slots__ = ()
 
@@ -103,12 +113,15 @@ class Generator(_Ordered):
     def __init__(self, p: int, q: int, n: int) -> None:
         if not (type(p) is type(q) is type(n) is int and 1 <= p < q <= n):
             raise InvalidGeneratorError(f"s{p},{q} is not a generator at degree {n}")
-        _setfield(self, "p", p)
-        _setfield(self, "q", q)
-        _setfield(self, "n", n)
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_n(self, n)
 
     def __str__(self) -> str:
         return f"s{self.p},{self.q}"
+
+
+_set_p, _set_q, _set_n = _setters(Generator)
 
 
 def _check_degree(degree: int) -> None:
@@ -128,13 +141,19 @@ class Word(_Value):
     def __init__(self, degree: int, letters: Iterable[Generator] = ()) -> None:
         letters = tuple(letters)
         _check_degree(degree)
-        for g in letters:
-            if g.n != degree:
-                raise DegreeMismatchError(
-                    f"letter {g} has degree {g.n} in a word of degree {degree}"
-                )
-        _setfield(self, "degree", degree)
-        _setfield(self, "letters", letters)
+        # A letter without an ``n`` is not a Generator.  Only ``n`` is read,
+        # as a type test per letter would slow long words down, so an object
+        # with ``p``, ``q`` and ``n`` passes.
+        try:
+            for g in letters:
+                if g.n != degree:
+                    raise DegreeMismatchError(
+                        f"letter {g} has degree {g.n} in a word of degree {degree}"
+                    )
+        except AttributeError:
+            raise ValueError(f"letter {g!r} is not a Generator") from None
+        _set_word_degree(self, degree)
+        _set_letters(self, letters)
 
     @classmethod
     def from_pairs(cls, degree: int, pairs: Iterable[tuple[int, int]]) -> Word:
@@ -148,6 +167,9 @@ class Word(_Value):
 
     def __str__(self) -> str:
         return " ".join(str(g) for g in self.letters)
+
+
+_set_word_degree, _set_letters = _setters(Word)
 
 
 _TOKEN = re.compile(r"s(\d+),(\d+)\Z", re.ASCII)
@@ -193,11 +215,14 @@ class PresentationSpec(_Value):
         if not subset <= lengths:
             bad = sorted(subset - lengths)
             raise ValueError(f"interval lengths {bad} lie outside [2, {degree}]")
-        _setfield(self, "degree", degree)
-        _setfield(self, "subset", subset)
+        _set_spec_degree(self, degree)
+        _set_subset(self, subset)
 
     def generators(self) -> list[Generator]:
         return [g for g in all_generators(self.degree) if g.q - g.p + 1 in self.subset]
+
+
+_set_spec_degree, _set_subset = _setters(PresentationSpec)
 
 
 def free_reduce(w: Word) -> Word:

@@ -227,3 +227,29 @@ def test_criterion_13_degree3_passes_on_a_million_letters():
         assert not any(x is y for x, y in zip(letters, letters[1:]))
 
     _check(13, "degree-3 passes on a million letters", 2, body)
+
+
+def test_criterion_14_equivariance_at_the_case_cap():
+    # j in -166..166 over the cover vertices with k in -500..500: 333 x 3,003
+    # = 999,999 cases, the CLI's cap.  The perturbed map moves [213]_k for odd
+    # k, so a case fails exactly when its vertex is a [213] and j is odd:
+    # 166 x 1,001 cases.  Each sweep takes about 2 s on a 2-vCPU Xeon VM, and
+    # took 2.9-4.2 s when every value was built through the generic attribute
+    # store.
+    js, ks = range(-166, 167), range(-500, 501)
+
+    def passing():
+        report = check_equivariance(js, ks)
+        assert report.ok(), report.render()[-200:]
+        assert report.total == 999_999
+
+    def perturbed():
+        report = check_equivariance(js, ks, phi=cover_to_group_perturbed)
+        assert report.total == 999_999
+        assert len(report.failures) == 166 * 1_001
+        for line in report.failures:
+            j = int(line.split(" ", 2)[1].removeprefix("j="))
+            assert j % 2 and " v=[213]_" in line, line
+
+    _check(14, "equivariance at the case cap", 10, passing)
+    _check(14, "perturbed map at the case cap", 10, perturbed)

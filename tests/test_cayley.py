@@ -212,7 +212,8 @@ def test_degree_of_counts_incident_edges():
 
 
 def test_graph_accepts_only_sorted_distinct_vertices():
-    # degree_of bisects the vertices, so it answers only on sorted, distinct ones.
+    # The constructor takes only sorted, distinct vertices, whose keys 2m + eps
+    # strictly increase; degree_of looks vertices up by that key.
     for group in ("J3", "J3_2"):
         for radius in range(60):
             g = build_window(group, radius)
@@ -234,3 +235,11 @@ def test_degree_of_matches_edge_count():
                 assert g.degree_of(outside) == 0
             if group == "J3_2":
                 assert g.degree_of(CanonicalForm(0, 1)) == 0
+
+
+def test_degree_of_rejects_values_that_are_not_canonical_forms():
+    g = build_window("J3", 2)
+    for bad in ((0, 0), 0, None, "(m=0, eps=0)"):
+        with pytest.raises(ValueError) as info:
+            g.degree_of(bad)
+        assert str(info.value) == f"vertex must be a CanonicalForm, got {bad!r}"

@@ -141,6 +141,18 @@ def test_inv_cancels(c):
     assert inv(inv(c)) == c
 
 
+def test_canonical_form_not_equal_is_the_negation_of_equal():
+    forms = [CanonicalForm(m, eps) for m in (-2, 0, 3) for eps in (0, 1)]
+    others = [(0, 0), AffineMap(1, 0), None, object(), 0]
+    for a in forms:
+        for b in [CanonicalForm(a.m, a.eps), *forms, *others]:
+            assert (a != b) is (not a == b), (a, b)
+            assert (b != a) is (not b == a), (b, a)
+        assert a != CanonicalForm(a.m + 1, a.eps) and a != CanonicalForm(a.m, 1 - a.eps)
+        for other in others:
+            assert a.__ne__(other) is NotImplemented
+
+
 def test_dihedral_subgroup_membership():
     assert in_dihedral_subgroup(CanonicalForm(5, 0))
     assert not in_dihedral_subgroup(CanonicalForm(0, 1))

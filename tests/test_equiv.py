@@ -85,6 +85,17 @@ def test_pure_action_shifts_index(k, m):
     assert out == CanonicalForm(m + 3 * k, 0)
 
 
+def test_pure_action_is_one_product_then_a_dropped_s13():
+    s13 = CanonicalForm(0, 1)
+    for k in range(-30, 31):
+        g = PureElement(k)
+        for m in range(-90, 91):
+            h = CanonicalForm(m, 0)
+            raw = mul(g.to_canonical(), h)
+            expected = mul(raw, s13) if raw.eps else raw
+            assert pure_action(g, h) == expected, (k, m)
+
+
 def test_pure_action_matches_word_level():
     flip = parse_word("s1,3")
     for k in range(-5, 6):

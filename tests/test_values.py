@@ -7,9 +7,11 @@ import copy
 import inspect
 import operator
 import pickle
+from pathlib import Path
 
 import pytest
 
+import cactuskit
 from cactuskit import (
     AffineMap,
     CanonicalForm,
@@ -91,6 +93,49 @@ def test_fields_cannot_be_assigned(cls, fields, text):
         with pytest.raises(AttributeError):
             setattr(value, name, field)
         assert getattr(value, name) == field
+
+
+@pytest.mark.parametrize(("cls", "fields", "text"), CASES, ids=IDS)
+def test_fields_cannot_be_deleted(cls, fields, text):
+    value = cls(**fields)
+    for name, field in fields.items():
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == field
+
+
+# Each slot that is not a field, with its value in the CASES value.
+HIDDEN = {PureElement: {"_form": pure_element(2)}, CayleyGraph: {"_keys": frozenset({0})}}
+
+
+@pytest.mark.parametrize(("cls", "fields", "text"), CASES, ids=IDS)
+def test_every_slot_reads_back(cls, fields, text):
+    value = cls(**fields)
+    assert cls.__slots__ == (*fields, *HIDDEN.get(cls, ()))
+    for name, expected in {**fields, **HIDDEN.get(cls, {})}.items():
+        assert getattr(value, name) == expected, name
+
+
+def test_slots_that_are_not_fields_cannot_be_assigned():
+    values = [PureElement(2), CayleyGraph("J3_2", 0, (F0,), ())]
+    for value in values:
+        for name, expected in HIDDEN[type(value)].items():
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+            assert getattr(value, name) == expected
+
+
+def test_no_module_stores_through_the_generic_setattr():
+    # Values store their slots through the slot descriptors' own setters.
+    package = Path(cactuskit.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) >= 8
+    for path in modules:
+        text = path.read_text()
+        assert "object.__setattr__" not in text, path.name
+        assert "_setfield" not in text, path.name
 
 
 @pytest.mark.parametrize(("cls", "fields", "text"), CASES, ids=IDS)
@@ -231,6 +276,7 @@ REJECTIONS = [
     (Report, (2, ("FAIL a", 1)), ValueError, "failure lines must be str, got 1"),
     (Report, (1, ("FAIL a", "FAIL b")), ValueError, "2 failures exceed the total of 1 cases"),
     (PresentationSpec, (3, [2.0]), ValueError, "interval lengths must be ints, got 2.0"),
+    (Word, (3, (5,)), ValueError, "letter 5 is not a Generator"),
 ]
 
 
