@@ -31,7 +31,6 @@ _EXPORTS = {
         "affine_model",
         "canonicalize",
         "evaluate_word",
-        "in_dihedral_subgroup",
         "inv",
         "mul",
         "pure_element",

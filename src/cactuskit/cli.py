@@ -1,7 +1,9 @@
-"""Command-line front end.
-
-Exit codes: 0 success (and all checks passing), 1 verification failure or a
-negative `pure` answer, 2 usage, parse or I/O errors.
+"""Command-line front end. `_COMMANDS` lists each subcommand's help line,
+handler and arguments; `_parse` reads argv against it as argparse would, less
+prefix abbreviations (`--rad`) and the `--` separator, and -h prints help from
+it, so no request imports an argument-parsing library. Exit codes: 0 success
+(and all checks passing, or -h), 1 verification failure or a negative `pure`
+answer, 2 usage (a usage line and `cactus <sub>: error: ...`), parse or I/O errors.
 
 Each subcommand's handler imports the modules it uses, so a request loads
 only those: `normalize` loads `words` and `degree3`; `project` and `pure`
@@ -12,10 +14,11 @@ load `words` and `perm`; `chambers` and `cover` load `words` and
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
-from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 from .words import Word, WordParseError, free_reduce, parse_word
 
@@ -58,46 +61,37 @@ def _sum(r: range) -> int:
     return (r.start + r.stop - 1) * _size(r) // 2
 
 
-def _read_word(args: argparse.Namespace) -> Word:
+def _read_word(args: SimpleNamespace) -> Word:
     _at_most("--n", args.n, _MAX_WORD_DEGREE)
-    if args.stdin:
-        text = sys.stdin.read()
-    elif args.word is not None:
-        text = args.word
-    else:
+    if not args.stdin and args.word is None:
         raise WordParseError("no word given; pass one as an argument or use --stdin")
-    return parse_word(text, args.n)
+    return parse_word(sys.stdin.read() if args.stdin else args.word, args.n)
 
 
-def _cmd_normalize(args: argparse.Namespace) -> int:
+def _cmd_normalize(args: SimpleNamespace) -> int:
     from .degree3 import canonicalize
 
     w = _read_word(args)
-    if args.n == 3:
-        print(canonicalize(w))
-    else:
-        print(f"freely-reduced: {free_reduce(w)}")
+    print(canonicalize(w) if args.n == 3 else f"freely-reduced: {free_reduce(w)}")
     return 0
 
 
-def _cmd_project(args: argparse.Namespace) -> int:
+def _cmd_project(args: SimpleNamespace) -> int:
     from .perm import project
 
     print(project(_read_word(args)))
     return 0
 
 
-def _cmd_pure(args: argparse.Namespace) -> int:
+def _cmd_pure(args: SimpleNamespace) -> int:
     from .perm import is_pure
 
-    if is_pure(_read_word(args)):
-        print("yes")
-        return 0
-    print("no")
-    return 1
+    pure = is_pure(_read_word(args))
+    print("yes" if pure else "no")
+    return 0 if pure else 1
 
 
-def _cmd_cayley(args: argparse.Namespace) -> int:
+def _cmd_cayley(args: SimpleNamespace) -> int:
     from .cayley import build_window, export_dot, export_json
 
     _at_most("--radius", args.radius, _MAX_CAYLEY_RADIUS)
@@ -106,11 +100,12 @@ def _cmd_cayley(args: argparse.Namespace) -> int:
     if args.out is None:
         print(text, end="")
     else:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as out:
+            out.write(text)
     return 0
 
 
-def _cmd_chambers(args: argparse.Namespace) -> int:
+def _cmd_chambers(args: SimpleNamespace) -> int:
     from .confspace import enumerate_chambers
 
     _at_most("--n", args.n, _MAX_CHAMBER_LABELS)
@@ -119,7 +114,7 @@ def _cmd_chambers(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cover(args: argparse.Namespace) -> int:
+def _cmd_cover(args: SimpleNamespace) -> int:
     from .confspace import cover_window
 
     _at_most("--radius", args.radius, _MAX_COVER_RADIUS)
@@ -128,7 +123,7 @@ def _cmd_cover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     from . import equiv
 
     if args.suite == "equivariance":
@@ -161,74 +156,116 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok() else 1
 
 
-def _add_word_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("word", nargs="?", default=None, help="word text, e.g. 's1,2 s1,3'")
-    sub.add_argument("--stdin", action="store_true", help="read the word from stdin")
-    sub.add_argument("--n", type=int, default=3, help="degree (default 3)")
+# Each subcommand's help line, handler and arguments: the one place they are
+# listed. An argument maps its name to (kind, default, help), where kind is int,
+# str, bool (a switch, which takes no value) or a tuple of choices. The name
+# without dashes is the positional; it must be given when its default is _REQUIRED.
+_REQUIRED = object()
+_WORD = {"word": (str, None, "word text, e.g. 's1,2 s1,3'"), "--n": (int, 3, "degree"),
+         "--stdin": (bool, False, "read the word from stdin")}
+_COMMANDS = {
+    "normalize": ("canonical form (degree 3) or free reduction", _cmd_normalize, _WORD),
+    "project": ("permutation image of a word", _cmd_project, _WORD),
+    "pure": ("does the word project to the identity?", _cmd_pure, _WORD),
+    "cayley": ("export a Cayley-graph window", _cmd_cayley, {
+        "--group": (("J3", "J3_2"), "J3_2", "group"), "--format": (("dot", "json"), "dot", "output format"),
+        "--radius": (int, 3, "max word length"), "--out": (str, None, "output path (default stdout)")}),
+    "chambers": ("list chambers of n labeled points on a circle", _cmd_chambers, {
+        "--n": (int, 4, "labeled points")}),
+    "cover": ("list cover-line vertices for k in [-K, K]", _cmd_cover, {"--radius": (int, 1, "K")}),
+    "verify": ("run a verification sweep", _cmd_verify, {
+        "suite": (("equivariance", "action", "iso", "oracle"), _REQUIRED, "the sweep to run"),
+        **{f"--{x}{end}": (int, None, "bound of the window") for x in "jkm" for end in ("min", "max")},
+        "--radius": (int, 8, "word-length cap of the oracle suite"),
+        "--perturb-map": (bool, False, "use a deliberately wrong cover map (negative control)")}),
+}
+_HELP = ("-h", "--help")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cactus", description="Word algebra for interval-reversing groups."
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+class _UsageError(Exception):
+    """An argv refused before any handler runs: the subcommand (None before one) and why."""
 
-    p = sub.add_parser("normalize", help="canonical form (degree 3) or free reduction")
-    _add_word_arguments(p)
-    p.set_defaults(func=_cmd_normalize)
 
-    p = sub.add_parser("project", help="permutation image of a word")
-    _add_word_arguments(p)
-    p.set_defaults(func=_cmd_project)
+def _usage(sub: str | None, full: bool = False) -> str:
+    """The usage line of ``cactus`` or of ``cactus sub``; in full, the -h help."""
+    if sub is None:
+        usage = ["usage: cactus [-h] {" + ",".join(_COMMANDS) + "} ..."]
+        head, rows = "Word algebra for interval-reversing groups.", [(n, c[0]) for n, c in _COMMANDS.items()]
+    else:
+        usage, rows = [f"usage: cactus {sub} [-h]"], [("-h, --help", "show this help and exit")]
+        head, _, arguments = _COMMANDS[sub]
+        for name, (kind, default, text) in arguments.items():
+            value = "{" + ",".join(kind) + "}" if type(kind) is tuple else name.lstrip("-").upper()
+            label = name if kind is bool else value if name[0] != "-" else f"{name} {value}"
+            usage.append(label if default is _REQUIRED else f"[{label}]")
+            shown = kind is not bool and default not in (None, _REQUIRED)
+            rows.append((label, f"{text} (default {default})" if shown else text))
+    if not full:
+        return " ".join(usage)
+    width = max(len(label) for label, _ in rows)
+    return "\n".join([" ".join(usage), "", head, "", *(f"  {x:<{width}}  {text}" for x, text in rows)])
 
-    p = sub.add_parser("pure", help="does the word project to the identity?")
-    _add_word_arguments(p)
-    p.set_defaults(func=_cmd_pure)
 
-    p = sub.add_parser("cayley", help="export a Cayley-graph window")
-    p.add_argument("--group", choices=["J3", "J3_2"], default="J3_2")
-    p.add_argument("--radius", type=int, default=3, help="max word length in the window")
-    p.add_argument("--format", choices=["dot", "json"], default="dot")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_cayley)
+def _print_help(args: SimpleNamespace) -> int:
+    print(_usage(args.subcommand, full=True))
+    return 0
 
-    p = sub.add_parser("chambers", help="list chambers of n labeled points on a circle")
-    p.add_argument("--n", type=int, default=4)
-    p.set_defaults(func=_cmd_chambers)
 
-    p = sub.add_parser("cover", help="list cover-line vertices for k in [-K, K]")
-    p.add_argument("--radius", type=int, default=1, metavar="K")
-    p.set_defaults(func=_cmd_cover)
+def _is_flag(arg: str, arguments: dict) -> bool:
+    """Whether argparse reads ``arg`` as a flag, not as '-', a negative number or spaced text."""
+    name = arg.partition("=")[0]
+    return arg[:1] == "-" and arg != "-" and (
+        name in arguments or name in _HELP or not (" " in arg or re.match(r"^-\d+$|^-\d*\.\d+$", arg)))
 
-    p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("suite", choices=["equivariance", "action", "iso", "oracle"])
-    p.add_argument("--jmin", type=int, default=None)
-    p.add_argument("--jmax", type=int, default=None)
-    p.add_argument("--kmin", type=int, default=None)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--mmin", type=int, default=None)
-    p.add_argument("--mmax", type=int, default=None)
-    p.add_argument("--radius", type=int, default=8, help="word-length cap (oracle suite)")
-    p.add_argument(
-        "--perturb-map",
-        action="store_true",
-        help="use a deliberately wrong cover map (negative control)",
-    )
-    p.set_defaults(func=_cmd_verify)
 
-    return parser
+def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:
+    """The handler ``argv`` names (for -h, the help printer) and its arguments."""
+    if argv[:1] and argv[0] in _HELP:
+        return _print_help, SimpleNamespace(subcommand=None)
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown subcommand {argv[0]!r}" if argv else "no subcommand"
+        raise _UsageError(None, f"{given}; choose from {', '.join(_COMMANDS)}")
+    sub, rest = argv[0], iter(argv[1:])
+    _, handler, arguments = _COMMANDS[sub]
+    values = {name: default for name, (_, default, _) in arguments.items()}
+    positionals = [name for name in arguments if name[0] != "-"]
+    for arg in rest:
+        if arg in _HELP:
+            return _print_help, SimpleNamespace(subcommand=sub)
+        if _is_flag(arg, arguments):
+            name, inline, text = arg.partition("=")
+        else:  # a positional carries its own value
+            name, inline, text = positionals.pop() if positionals else None, True, arg
+        if name not in arguments:
+            raise _UsageError(sub, f"unrecognized argument {arg!r}")
+        kind = arguments[name][0]
+        if kind is bool and inline:
+            raise _UsageError(sub, f"argument {name}: takes no value")
+        if kind is not bool and not inline:
+            text = next(rest, None)
+            if text is None or _is_flag(text, arguments):
+                raise _UsageError(sub, f"argument {name}: expected one value")
+        if type(kind) is tuple and text not in kind:
+            raise _UsageError(sub, f"argument {name}: invalid choice {text!r} (choose from {', '.join(kind)})")
+        try:
+            values[name] = True if kind is bool else int(text) if kind is int else text
+        except ValueError:
+            raise _UsageError(sub, f"argument {name}: invalid int value {text!r}") from None
+    if positionals and values[positionals[0]] is _REQUIRED:
+        raise _UsageError(sub, f"the following arguments are required: {positionals[0]}")
+    return handler, SimpleNamespace(**{name.lstrip("-").replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
         sys.stdout.flush()
         return code
+    except _UsageError as exc:
+        sub, message = exc.args
+        print(f"{_usage(sub)}\ncactus{'' if sub is None else ' ' + sub}: error: {message}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader left; send the rest of the buffer to devnull so that the
         # flush at interpreter exit does not raise again.

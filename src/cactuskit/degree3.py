@@ -145,11 +145,6 @@ def inv(c: CanonicalForm) -> CanonicalForm:
     return CanonicalForm(m, c.eps)
 
 
-def in_dihedral_subgroup(c: CanonicalForm) -> bool:
-    """Whether c lies in the subgroup generated by s12 and s23."""
-    return c.eps == 0
-
-
 def pure_element(k: int) -> CanonicalForm:
     """Canonical form of the k-th power of (s12 s13)^3."""
     return CanonicalForm(3 * k, k % 2)

@@ -45,12 +45,6 @@ class Permutation(_Value):
             raise DegreeMismatchError("cannot compose permutations of different sizes")
         return Permutation(tuple(other.images[v - 1] for v in self.images))
 
-    def inverse(self) -> Permutation:
-        out = [0] * self.n
-        for i, v in enumerate(self.images, start=1):
-            out[v - 1] = i
-        return Permutation(tuple(out))
-
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images, start=1))
 

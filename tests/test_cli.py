@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -5,9 +6,11 @@ import subprocess
 import sys
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import cactuskit.equiv as equiv
+from cactuskit import cli
 from cactuskit.cli import main
 from cactuskit.equiv import Report
 
@@ -362,3 +365,177 @@ def test_main_fuzz_never_raises(argv, stdin_text):
             code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def _add_word_arguments(sub):
+    sub.add_argument("word", nargs="?", default=None, help="word text, e.g. 's1,2 s1,3'")
+    sub.add_argument("--stdin", action="store_true", help="read the word from stdin")
+    sub.add_argument("--n", type=int, default=3, help="degree (default 3)")
+
+
+def _build_parser():
+    """The argparse parser that the command table replaced, kept as the
+    reference for what `cactus` accepts and the values it reads."""
+    parser = argparse.ArgumentParser(
+        prog="cactus", description="Word algebra for interval-reversing groups."
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("normalize", help="canonical form (degree 3) or free reduction")
+    _add_word_arguments(p)
+    p.set_defaults(func=cli._cmd_normalize)
+
+    p = sub.add_parser("project", help="permutation image of a word")
+    _add_word_arguments(p)
+    p.set_defaults(func=cli._cmd_project)
+
+    p = sub.add_parser("pure", help="does the word project to the identity?")
+    _add_word_arguments(p)
+    p.set_defaults(func=cli._cmd_pure)
+
+    p = sub.add_parser("cayley", help="export a Cayley-graph window")
+    p.add_argument("--group", choices=["J3", "J3_2"], default="J3_2")
+    p.add_argument("--radius", type=int, default=3, help="max word length in the window")
+    p.add_argument("--format", choices=["dot", "json"], default="dot")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.set_defaults(func=cli._cmd_cayley)
+
+    p = sub.add_parser("chambers", help="list chambers of n labeled points on a circle")
+    p.add_argument("--n", type=int, default=4)
+    p.set_defaults(func=cli._cmd_chambers)
+
+    p = sub.add_parser("cover", help="list cover-line vertices for k in [-K, K]")
+    p.add_argument("--radius", type=int, default=1, metavar="K")
+    p.set_defaults(func=cli._cmd_cover)
+
+    p = sub.add_parser("verify", help="run a verification sweep")
+    p.add_argument("suite", choices=["equivariance", "action", "iso", "oracle"])
+    p.add_argument("--jmin", type=int, default=None)
+    p.add_argument("--jmax", type=int, default=None)
+    p.add_argument("--kmin", type=int, default=None)
+    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--mmin", type=int, default=None)
+    p.add_argument("--mmax", type=int, default=None)
+    p.add_argument("--radius", type=int, default=8, help="word-length cap (oracle suite)")
+    p.add_argument(
+        "--perturb-map",
+        action="store_true",
+        help="use a deliberately wrong cover map (negative control)",
+    )
+    p.set_defaults(func=cli._cmd_verify)
+
+    return parser
+
+
+REFERENCE = _build_parser()
+
+
+def _reference_reading(argv):
+    """The handler and arguments the argparse reference reads from argv, or
+    None where it refuses argv."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            args = vars(REFERENCE.parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return None
+    del args["subcommand"]
+    return args.pop("func"), args
+
+
+def _table_reading(argv):
+    try:
+        handler, args = cli._parse(argv)
+    except cli._UsageError:
+        return None
+    return handler, vars(args)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(_argv.map(_flatten).filter(lambda argv: not {"-h", "--help"} & set(argv)))
+def test_table_reads_argv_as_argparse_does(argv):
+    assert _table_reading(argv) == _reference_reading(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["normalize", "--n=4", "s1,2"],
+        ["verify", "--kmin", "-5", "--kmax=-3", "iso", "--jmin", "-0"],
+        ["pure", "", "--stdin"],
+        ["project", "--n", "4", "s1,2 s3,4", "--n", "5"],
+        ["cayley", "--radius", "2", "--out", "-", "--format=json", "--group=J3"],
+        ["verify", "--perturb-map", "equivariance", "--perturb-map"],
+        ["cover", "--radius", " 7 "],
+        ["verify", "oracle", "--radius"],
+        ["cayley", "--out", "--format", "dot"],
+        ["normalize", "--stdin=yes"],
+        ["chambers", "4"],
+        ["verify", "iso", "oracle"],
+        ["verify", "--kmin", "x", "iso"],
+        ["normalize", "--n", "--stdin"],
+    ],
+)
+def test_table_reads_edge_cases_as_argparse_does(argv):
+    assert _table_reading(argv) == _reference_reading(argv)
+
+
+def test_abbreviations_and_the_separator_are_refused(capsys):
+    # argparse read a prefix of a flag and "--" before positionals; nothing used either.
+    for argv in (["cayley", "--rad", "5"], ["normalize", "--", "s1,2"]):
+        assert _reference_reading(argv) is not None
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"error: unrecognized argument {argv[1]!r}" in err
+
+
+def _reference_subcommands():
+    action = next(a for a in REFERENCE._actions if isinstance(a, argparse._SubParsersAction))
+    return {choice.dest: choice.help for choice in action._choices_actions}, action.choices
+
+
+def test_help_names_every_subcommand_flag_and_choice(capsys):
+    lines, parsers = _reference_subcommands()
+    code, out, err = run_cli(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: cactus ")
+    for sub, line in lines.items():
+        assert any(row.split() == [sub, *line.split()] for row in out.splitlines()), sub
+    assert run_cli(capsys, "--help") == (0, out, "")
+    for sub, parser in parsers.items():
+        code, out, err = run_cli(capsys, sub, "-h")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: cactus {sub} ")
+        assert lines[sub] in out
+        for action in parser._actions:
+            for name in action.option_strings:
+                assert name in out, (sub, name)
+            for choice in action.choices or ():
+                assert choice in out, (sub, choice)
+        assert run_cli(capsys, sub, "--help") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "no subcommand"),
+        (["frobnicate"], "unknown subcommand 'frobnicate'"),
+        (["normalize", "--n", "x", "s1,2"], "argument --n: invalid int value 'x'"),
+        (["cayley", "--format", "svg"], "argument --format: invalid choice 'svg'"),
+        (["verify", "shift"], "argument suite: invalid choice 'shift'"),
+        (["cover", "--radius"], "argument --radius: expected one value"),
+        (["cayley", "--out", "--format", "dot"], "argument --out: expected one value"),
+        (["cayley", "--radius", "-x"], "argument --radius: expected one value"),
+        (["chambers", "--radius", "3"], "unrecognized argument '--radius'"),
+        (["verify", "--kmin", "0", "--kmax", "1"], "the following arguments are required: suite"),
+        (["project", "s1,2", "s2,3"], "unrecognized argument 's2,3'"),
+        (["normalize", "--stdin=1"], "argument --stdin: takes no value"),
+    ],
+)
+def test_usage_errors_print_usage_and_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    usage, error = err.splitlines()
+    prog = " ".join(["cactus", *argv[:1]]) if argv[:1] and argv[0] in cli._COMMANDS else "cactus"
+    assert usage.startswith(f"usage: {prog} [-h]")
+    assert error.startswith(f"{prog}: error: {message}")

@@ -31,15 +31,22 @@ def test_package_imports_only_the_standard_library():
 
 def test_cli_starts_without_the_slow_standard_modules():
     # dataclasses (which pulls in inspect) and json cost more than the whole
-    # package's own import.  -S keeps site's .pth hooks from importing them first.
-    slow = ("dataclasses", "inspect", "json")
-    code = f"import sys, cactuskit.cli; print(' '.join(m for m in {slow!r} if m in sys.modules))"
+    # package's own import, and argparse (with getopt, gettext and locale) and
+    # pathlib cost a third of a request's own time.  -S keeps site's .pth hooks
+    # from importing them first.  Every subcommand and -h runs in one process.
+    slow = ("dataclasses", "inspect", "json", "argparse", "getopt", "gettext", "locale", "pathlib")
+    runs = [argv for argv, _ in SUBCOMMAND_MODULES] + [["-h"], ["verify", "-h"]]
+    code = (
+        f"import sys\nfrom cactuskit.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
+        f"sys.stderr.write(' '.join(m for m in {slow!r} if m in sys.modules))"
+    )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    assert proc.stdout.startswith("(m=1, eps=0)\n")
+    assert proc.stderr.split() == []
 
 
 def test_cayley_json_export_does_not_load_json():
@@ -56,7 +63,8 @@ def test_cayley_json_export_does_not_load_json():
 
 
 # The names the package exported when its root imported every submodule eagerly,
-# less concat and from_index, which only spelled a Word and a CanonicalForm.
+# less concat and from_index, which only spelled a Word and a CanonicalForm, and
+# in_dihedral_subgroup, which only read a CanonicalForm's eps == 0.
 PUBLIC = {
     "cayley": ("CayleyGraph", "build_window", "export_dot", "export_json"),
     "confspace": (
@@ -66,7 +74,7 @@ PUBLIC = {
     ),
     "degree3": (
         "IDENTITY", "AffineMap", "CanonicalForm", "affine_model", "canonicalize", "evaluate_word",
-        "in_dihedral_subgroup", "inv", "mul", "pure_element", "to_word",
+        "inv", "mul", "pure_element", "to_word",
     ),
     "equiv": (
         "OutsideSubgroupError", "PureElement", "Report", "check_equivariance", "check_isomorphism",
@@ -124,7 +132,7 @@ def test_public_names_are_unchanged(monkeypatch):
     import cactuskit
 
     names = [name for group in PUBLIC.values() for name in group]
-    assert len(names) == 56
+    assert len(names) == 55
     assert sorted(cactuskit.__all__) == sorted(names)
     # Drop the attributes earlier imports cached, so dir() and the lookups
     # below go through the package's own __dir__ and __getattr__.
