@@ -57,7 +57,6 @@ _EXPORTS = {
         "Generator",
         "InvalidGeneratorError",
         "MoveNotApplicableError",
-        "PresentationSpec",
         "Word",
         "WordParseError",
         "apply_commute",

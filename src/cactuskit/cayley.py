@@ -13,19 +13,15 @@ vertices up in it.  ``export_json`` writes the layout of
 from __future__ import annotations
 
 from .degree3 import CanonicalForm, _alt_concat, canonicalize, mul
-from .words import Generator, PresentationSpec, Word, _setters, _Value
+from .words import Generator, Word, _setters, _Value, all_generators
 
 GROUP_FULL = "J3"
 GROUP_DIHEDRAL = "J3_2"
 
-# Each group's generators with their one-letter canonical forms.
-_GENERATORS = {
-    group: [(g, canonicalize(Word(3, (g,)))) for g in spec.generators()]
-    for group, spec in (
-        (GROUP_FULL, PresentationSpec(3, "full")),
-        (GROUP_DIHEDRAL, PresentationSpec(3, frozenset({2}))),
-    )
-}
+# Each group's generators with their one-letter canonical forms: J3 takes all
+# three, and J3_2 the two that reverse neighbouring positions, s1,2 and s2,3.
+_GENERATORS = {GROUP_FULL: [(g, canonicalize(Word(3, (g,)))) for g in all_generators(3)]}
+_GENERATORS[GROUP_DIHEDRAL] = [(g, c) for g, c in _GENERATORS[GROUP_FULL] if g.q - g.p == 1]
 
 Edge = tuple[CanonicalForm, CanonicalForm, Generator]
 

@@ -63,6 +63,8 @@ def _sum(r: range) -> int:
 
 def _read_word(args: SimpleNamespace) -> Word:
     _at_most("--n", args.n, _MAX_WORD_DEGREE)
+    if args.stdin and args.word is not None:
+        raise WordParseError("word given both as an argument and with --stdin; pass one of them")
     if not args.stdin and args.word is None:
         raise WordParseError("no word given; pass one as an argument or use --stdin")
     return parse_word(sys.stdin.read() if args.stdin else args.word, args.n)
@@ -126,6 +128,9 @@ def _cmd_cover(args: SimpleNamespace) -> int:
 def _cmd_verify(args: SimpleNamespace) -> int:
     from . import equiv
 
+    for name in ("jmin", "jmax", "kmin", "kmax", "mmin", "mmax", "radius"):
+        if name[0] not in _SUITE_READS[args.suite] and getattr(args, name) is not None:
+            raise ValueError(f"verify {args.suite} does not read --{name}")
     if args.suite == "equivariance":
         jr = _span(args.jmin, args.jmax, -20, 20, "j")
         kr = _span(args.kmin, args.kmax, -50, 50, "k")
@@ -149,9 +154,10 @@ def _cmd_verify(args: SimpleNamespace) -> int:
         _at_most("iso case count", 2 * _size(kr) + _size(kr) ** 2, _MAX_VERIFY_CASES)
         report = equiv.check_isomorphism(kr)
     else:
-        if not 0 <= args.radius <= _MAX_ORACLE_RADIUS:
-            raise ValueError(f"--radius {args.radius} is outside 0..{_MAX_ORACLE_RADIUS}")
-        report = equiv.check_oracle(args.radius)
+        radius = 8 if args.radius is None else args.radius
+        if not 0 <= radius <= _MAX_ORACLE_RADIUS:
+            raise ValueError(f"--radius {radius} is outside 0..{_MAX_ORACLE_RADIUS}")
+        report = equiv.check_oracle(radius)
     print(report.render())
     return 0 if report.ok() else 1
 
@@ -161,6 +167,8 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 # str, bool (a switch, which takes no value) or a tuple of choices. The name
 # without dashes is the positional; it must be given when its default is _REQUIRED.
 _REQUIRED = object()
+# The range flags and --radius that each verify suite reads, by their first letter.
+_SUITE_READS = {"equivariance": "jk", "action": "km", "iso": "k", "oracle": "r"}
 _WORD = {"word": (str, None, "word text, e.g. 's1,2 s1,3'"), "--n": (int, 3, "degree"),
          "--stdin": (bool, False, "read the word from stdin")}
 _COMMANDS = {
@@ -174,10 +182,11 @@ _COMMANDS = {
         "--n": (int, 4, "labeled points")}),
     "cover": ("list cover-line vertices for k in [-K, K]", _cmd_cover, {"--radius": (int, 1, "K")}),
     "verify": ("run a verification sweep", _cmd_verify, {
-        "suite": (("equivariance", "action", "iso", "oracle"), _REQUIRED, "the sweep to run"),
-        **{f"--{x}{end}": (int, None, "bound of the window") for x in "jkm" for end in ("min", "max")},
-        "--radius": (int, 8, "word-length cap of the oracle suite"),
-        "--perturb-map": (bool, False, "use a deliberately wrong cover map (negative control)")}),
+        "suite": (tuple(_SUITE_READS), _REQUIRED, "the sweep to run"),
+        **{f"--{x}{end}": (int, None, "bound of the window, read by " + ", ".join(
+            suite for suite, reads in _SUITE_READS.items() if x in reads)) for x in "jkm" for end in ("min", "max")},
+        "--radius": (int, None, "word-length cap of the oracle suite (default 8)"),
+        "--perturb-map": (bool, False, "use a deliberately wrong cover map (negative control; equivariance only)")}),
 }
 _HELP = ("-h", "--help")
 

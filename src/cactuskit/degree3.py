@@ -65,11 +65,6 @@ class CanonicalForm(_Ordered):
     def __hash__(self) -> int:
         return hash((self.m, self.eps))
 
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.eps) < (other.m, other.eps)
-
     def __str__(self) -> str:
         return f"(m={self.m}, eps={self.eps})"
 

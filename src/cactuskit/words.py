@@ -49,8 +49,8 @@ class _Value:
     (``_Ordered`` ones also order by them), and copies through ``__init__``.
     Two classes write ``__eq__`` and ``__hash__`` out, because a workload
     calls them per case: ``CanonicalForm`` (the sweeps' comparisons, so it
-    writes ``__ne__`` out too, and the Cayley windows' sets) and
-    ``AffineMap`` (the oracle's dicts)."""
+    writes ``__ne__`` out too) and ``AffineMap``; the oracle's dicts hash
+    both, as (form, map) pairs."""
 
     __slots__ = ()
 
@@ -124,11 +124,6 @@ class Generator(_Ordered):
 _set_p, _set_q, _set_n = _setters(Generator)
 
 
-def _check_degree(degree: int) -> None:
-    if type(degree) is not int or degree < 2:
-        raise ValueError(f"degree must be an int of at least 2, got {degree!r}")
-
-
 def all_generators(n: int) -> list[Generator]:
     return [Generator(p, q, n) for p in range(1, n) for q in range(p + 1, n + 1)]
 
@@ -140,7 +135,8 @@ class Word(_Value):
 
     def __init__(self, degree: int, letters: Iterable[Generator] = ()) -> None:
         letters = tuple(letters)
-        _check_degree(degree)
+        if type(degree) is not int or degree < 2:
+            raise ValueError(f"degree must be an int of at least 2, got {degree!r}")
         # A letter without an ``n`` is not a Generator.  Only ``n`` is read,
         # as a type test per letter would slow long words down, so an object
         # with ``p``, ``q`` and ``n`` passes.
@@ -195,36 +191,6 @@ def parse_word(text: str, degree: int = 3) -> Word:
     return Word(degree, tuple(letters))
 
 
-class PresentationSpec(_Value):
-    """Degree n together with the admitted interval lengths.
-
-    ``subset`` may be given as the string "full" (all lengths 2..n) or any
-    iterable of lengths within [2, n].  A generator s_{p,q} belongs to the
-    presentation when q - p + 1 is an admitted length.
-    """
-
-    __slots__ = _fields = ("degree", "subset")
-
-    def __init__(self, degree: int, subset: Iterable[int] | str = "full") -> None:
-        _check_degree(degree)
-        lengths = frozenset(range(2, degree + 1))
-        subset = lengths if subset == "full" else frozenset(subset)
-        for length in subset:
-            if type(length) is not int:
-                raise ValueError(f"interval lengths must be ints, got {length!r}")
-        if not subset <= lengths:
-            bad = sorted(subset - lengths)
-            raise ValueError(f"interval lengths {bad} lie outside [2, {degree}]")
-        _set_spec_degree(self, degree)
-        _set_subset(self, subset)
-
-    def generators(self) -> list[Generator]:
-        return [g for g in all_generators(self.degree) if g.q - g.p + 1 in self.subset]
-
-
-_set_spec_degree, _set_subset = _setters(PresentationSpec)
-
-
 def free_reduce(w: Word) -> Word:
     """Cancel adjacent equal letters until none remain."""
     out: list[Generator] = []
@@ -239,19 +205,20 @@ def free_reduce(w: Word) -> Word:
     return Word(w.degree, tuple(out))
 
 
-def _moves(a: tuple[int, int], b: tuple[int, int]) -> Iterator[tuple[str, tuple]]:
-    """The move table: each move (``cancel``, ``commute``, ``left-to-right`` or
+def _moves(a: tuple[int, int], b: tuple[int, int]) -> tuple[str, tuple]:
+    """The move table: the move (``cancel``, ``commute``, ``left-to-right`` or
     ``right-to-left`` nesting) that rewrites the adjacent letters a b, given as
-    (p, q) pairs, with its replacement."""
+    (p, q) pairs, with its replacement, or ``("overlap", ())`` where none does."""
     (p, q), (m, r) = a, b
     if a == b:
-        yield "cancel", ()
-    elif q < m or r < p:
-        yield "commute", (b, a)
-    elif p <= m and r <= q:
-        yield "left-to-right", ((p + q - r, p + q - m), a)
-    elif m <= p and q <= r:
-        yield "right-to-left", (b, (m + r - q, m + r - p))
+        return "cancel", ()
+    if q < m or r < p:
+        return "commute", (b, a)
+    if p <= m and r <= q:
+        return "left-to-right", ((p + q - r, p + q - m), a)
+    if m <= p and q <= r:
+        return "right-to-left", (b, (m + r - q, m + r - p))
+    return "overlap", ()
 
 
 def _pairs(letters: Iterable[Generator]) -> tuple[tuple[int, int], ...]:
@@ -280,10 +247,10 @@ def _reduce(
             odd = not odd
             continue
         if odd:
-            x = next(_moves(top, x))[1][0]
+            x = _moves(top, x)[1][0]
         i = len(stack)
         while i:
-            move, swapped = next(_moves(stack[i - 1], x), ("overlap", ()))
+            move, swapped = _moves(stack[i - 1], x)
             if move == "cancel":
                 del stack[i - 1]
                 break
@@ -307,10 +274,10 @@ def _rewrite(w: Word, i: int, move: str, mismatch: str | None) -> Word:
     if mismatch is None:
         raise ValueError(f"unknown direction {move!r}")
     letters = _pairs(w)
-    for name, replacement in _moves(letters[i], letters[i + 1]):
-        if name == move:
-            return Word.from_pairs(w.degree, letters[:i] + replacement + letters[i + 2 :])
-    raise MoveNotApplicableError(mismatch.format(a=w.letters[i], b=w.letters[i + 1]))
+    name, replacement = _moves(letters[i], letters[i + 1])
+    if name != move:
+        raise MoveNotApplicableError(mismatch.format(a=w.letters[i], b=w.letters[i + 1]))
+    return Word.from_pairs(w.degree, letters[:i] + replacement + letters[i + 2 :])
 
 
 def apply_commute(w: Word, i: int) -> Word:
@@ -343,10 +310,11 @@ def neighbors(w: Word, max_length: int) -> set[Word]:
     if type(max_length) is not int:
         raise ValueError(f"max_length must be an int, got {max_length!r}")
     letters = _pairs(w)
+    moves = [_moves(a, b) for a, b in zip(letters, letters[1:])]
     found = {
         letters[:i] + replacement + letters[i + 2 :]
-        for i in range(len(letters) - 1)
-        for _, replacement in _moves(letters[i], letters[i + 1])
+        for i, (move, replacement) in enumerate(moves)
+        if move != "overlap"
     }
     if len(letters) + 2 <= max_length:
         squares = [(g, g) for g in _pairs(all_generators(w.degree))]
@@ -392,6 +360,6 @@ def relation_instances(n: int) -> Iterator[tuple[str, Word, Word]]:
     family = {"commute": "commute", "left-to-right": "nesting"}
     for a in gens:
         for b in gens:
-            for move, replacement in _moves((a.p, a.q), (b.p, b.q)):
-                if move in family:
-                    yield family[move], Word(n, (a, b)), Word.from_pairs(n, replacement)
+            move, replacement = _moves((a.p, a.q), (b.p, b.q))
+            if move in family:
+                yield family[move], Word(n, (a, b)), Word.from_pairs(n, replacement)

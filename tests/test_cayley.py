@@ -3,14 +3,21 @@ from collections import Counter
 
 import pytest
 
+from cactuskit import cayley
 from cactuskit.cayley import CayleyGraph, build_window, export_dot, export_json
 from cactuskit.degree3 import CanonicalForm, canonicalize, mul, to_word
-from cactuskit.words import PresentationSpec, Word
+from cactuskit.words import Generator, Word
 
+# J3 takes every degree-3 generator; J3_2 = <s1,2, s2,3>, its dihedral subgroup.
 GENERATORS = {
-    "J3": PresentationSpec(3, "full").generators(),
-    "J3_2": PresentationSpec(3, frozenset({2})).generators(),
+    "J3": [Generator(1, 2, 3), Generator(1, 3, 3), Generator(2, 3, 3)],
+    "J3_2": [Generator(1, 2, 3), Generator(2, 3, 3)],
 }
+
+
+def test_each_group_takes_its_generators():
+    for group, gens in GENERATORS.items():
+        assert [g for g, _ in cayley._GENERATORS[group]] == gens
 
 
 def test_zero_radius_window():

@@ -58,6 +58,14 @@ def test_stdin_input(capsys, monkeypatch):
     assert out == "(m=2, eps=0)\n"
 
 
+def test_word_from_an_argument_and_stdin_is_refused(capsys, monkeypatch):
+    for argv in (["normalize", "--stdin", "s1,2"], ["project", "s1,2", "--stdin"],
+                 ["pure", "--stdin", ""], ["normalize", "--n", "4", "--stdin", "s1,2"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("s1,2"))
+        assert run_cli(capsys, *argv) == (
+            2, "", "error: word given both as an argument and with --stdin; pass one of them\n")
+
+
 def test_project(capsys):
     assert run_cli(capsys, "project", "s1,2 s1,3")[:2] == (0, "[2,3,1]\n")
     assert run_cli(capsys, "project", "")[:2] == (0, "[1,2,3]\n")
@@ -226,6 +234,24 @@ def test_verify_oracle_radius_limits(capsys):
     assert out == "OK 797166 cases\n"
 
 
+def test_verify_refuses_flags_its_suite_never_reads(capsys):
+    refused = [
+        (["iso", "--kmin", "0", "--kmax", "1", "--jmin", "3", "--radius", "2"], "--jmin"),
+        (["iso", "--kmin", "0", "--kmax", "1", "--mmax", "9"], "--mmax"),
+        (["equivariance", "--jmin", "0", "--jmax", "0", "--mmin", "0"], "--mmin"),
+        (["equivariance", "--jmin", "0", "--jmax", "0", "--kmin", "0", "--kmax", "0", "--radius", "8"], "--radius"),
+        (["action", "--kmin", "0", "--kmax", "0", "--mmin", "0", "--mmax", "0", "--jmax", "1"], "--jmax"),
+        (["action", "--kmin", "0", "--kmax", "0", "--mmin", "0", "--mmax", "0", "--radius", "2"], "--radius"),
+        (["oracle", "--radius", "2", "--kmin", "0"], "--kmin"),
+        (["oracle", "--radius", "2", "--mmax", "0", "--perturb-map"], "--mmax"),
+    ]
+    for argv, flag in refused:
+        assert run_cli(capsys, "verify", *argv) == (2, "", f"error: verify {argv[0]} does not read {flag}\n")
+    # --perturb-map is accepted by every suite, though only equivariance reads it.
+    assert run_cli(capsys, "verify", "iso", "--kmin", "0", "--kmax", "1", "--perturb-map") == (0, "OK 8 cases\n", "")
+    assert run_cli(capsys, "verify", "oracle", "--radius", "0", "--perturb-map") == (0, "OK 6 cases\n", "")
+
+
 def test_verify_ranges_are_capped(capsys, monkeypatch):
     big = "9" * 30
     refused = [
@@ -308,6 +334,29 @@ def _range(name, *wide):
     return st.one_of(small, *(st.just((f"--{name}min", lo, f"--{name}max", hi)) for lo, hi in wide))
 
 
+_radius = _flag("--radius", st.sampled_from(["-1", "0", "2", "4", "13"]))
+
+
+def _verify(suite, reads, *unread):
+    """``verify suite`` with the flags it reads, with or without --perturb-map,
+    and one time in four with one of the ``unread`` flags, which it refuses."""
+    stray = st.sampled_from([()] * 3 * len(unread) + [(name, "0") for name in unread] or [()])
+    perturb = st.lists(st.just("--perturb-map"), max_size=1)
+    return st.tuples(st.just("verify"), st.just(suite), reads, perturb, stray)
+
+
+# Range flags are always given: each default window takes up to a second.
+_VERIFY = {
+    "equivariance": _verify("equivariance", st.tuples(_range("j"), _range("k")), "--mmin", "--mmax", "--radius"),
+    # m from 0 to 1414 passes the action case cap; with any k >= 0 it is past
+    # the letter cap, and with only k < 0 it runs at most 9,905 cases.
+    "action": _verify("action", st.tuples(_range("k"), _range("m", ("0", "1414"))), "--jmin", "--jmax", "--radius"),
+    "iso": _verify("iso", _range("k"), "--jmin", "--mmax", "--radius"),
+    "oracle": _verify("oracle", _radius, "--jmin", "--kmax", "--mmin"),
+    # Not a suite: the parser refuses it.
+    "shift": _verify("shift", st.tuples(_range("j"), _range("k"), _range("m"), _radius)),
+}
+
 _word = st.lists(
     st.sampled_from(["s1,2", "s1,3", "s2,3", "s2,4", "s3,4", "s0,1", "s2,1", "s1,", "x", ""]),
     max_size=4,
@@ -330,16 +379,7 @@ _argv = st.one_of(
         _any_of(_flag("--n", st.sampled_from(["-1", "0", "2", "3", "4", "6", "11", "12", "x"]))),
     ),
     st.tuples(st.just("cover"), _any_of(_flag("--radius", st.one_of(_small, st.just("100001"))))),
-    # Range flags are always given: each default window takes up to a second.
-    st.tuples(
-        st.just("verify"),
-        st.sampled_from(["equivariance", "action", "iso", "oracle", "shift"]),
-        # m from 0 to 1414 passes the action case cap; with any k >= 0 it is past
-        # the letter cap, and with only k < 0 it runs at most 9,905 cases.
-        st.tuples(_range("j"), _range("k"), _range("m", ("0", "1414"))),
-        _flag("--radius", st.sampled_from(["-1", "0", "2", "4", "13"])),
-        st.lists(st.just("--perturb-map"), max_size=1),
-    ),
+    st.sampled_from(list(_VERIFY)).flatmap(_VERIFY.get),
     st.lists(
         st.sampled_from(
             ["normalize", "cover", "chambers", "frobnicate", "--n", "--radius", "--stdin",
@@ -416,7 +456,7 @@ def _build_parser():
     p.add_argument("--kmax", type=int, default=None)
     p.add_argument("--mmin", type=int, default=None)
     p.add_argument("--mmax", type=int, default=None)
-    p.add_argument("--radius", type=int, default=8, help="word-length cap (oracle suite)")
+    p.add_argument("--radius", type=int, default=None, help="word-length cap (oracle suite)")
     p.add_argument(
         "--perturb-map",
         action="store_true",

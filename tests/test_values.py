@@ -24,7 +24,6 @@ from cactuskit import (
     Generator,
     InvalidGeneratorError,
     Permutation,
-    PresentationSpec,
     PureElement,
     Report,
     Word,
@@ -47,11 +46,6 @@ F0 = CanonicalForm(0, 0)
 CASES = [
     (Generator, {"p": 1, "q": 2, "n": 3}, "Generator(p=1, q=2, n=3)"),
     (Word, {"degree": 3, "letters": (S12,)}, "Word(degree=3, letters=(Generator(p=1, q=2, n=3),))"),
-    (
-        PresentationSpec,
-        {"degree": 3, "subset": frozenset({2})},
-        "PresentationSpec(degree=3, subset=frozenset({2}))",
-    ),
     (CanonicalForm, {"m": 3, "eps": 1}, "CanonicalForm(m=3, eps=1)"),
     (AffineMap, {"sign": -1, "shift": 2}, "AffineMap(sign=-1, shift=2)"),
     (Permutation, {"images": (2, 1, 3)}, "Permutation(images=(2, 1, 3))"),
@@ -212,8 +206,8 @@ REJECTIONS = [
         DegreeMismatchError,
         "letter s1,2 has degree 4 in a word of degree 3",
     ),
-    (PresentationSpec, (1.5,), ValueError, "degree must be an int of at least 2, got 1.5"),
-    (PresentationSpec, (3, (2, 5, 1)), ValueError, "interval lengths [1, 5] lie outside [2, 3]"),
+    (Word, (1.5,), ValueError, "degree must be an int of at least 2, got 1.5"),
+    (Word, (True,), ValueError, "degree must be an int of at least 2, got True"),
     (CanonicalForm, (1.0,), ValueError, "m must be an int, got 1.0"),
     (CanonicalForm, (0, 2), ValueError, "eps must be 0 or 1, got 2"),
     (AffineMap, (0, 0), ValueError, "sign must be +-1, got 0"),
@@ -275,7 +269,7 @@ REJECTIONS = [
     (Report, (1, "ab"), ValueError, "failures must be a sequence of lines, got 'ab'"),
     (Report, (2, ("FAIL a", 1)), ValueError, "failure lines must be str, got 1"),
     (Report, (1, ("FAIL a", "FAIL b")), ValueError, "2 failures exceed the total of 1 cases"),
-    (PresentationSpec, (3, [2.0]), ValueError, "interval lengths must be ints, got 2.0"),
+    (CanonicalForm, (0, True), ValueError, "eps must be 0 or 1, got True"),
     (Word, (3, (5,)), ValueError, "letter 5 is not a Generator"),
 ]
 
@@ -297,7 +291,6 @@ def test_sweeps_keep_their_signatures():
     constructors = {
         Generator: [("p", None), ("q", None), ("n", None)],
         Word: [("degree", None), ("letters", ())],
-        PresentationSpec: [("degree", None), ("subset", "full")],
         CanonicalForm: [("m", None), ("eps", 0)],
         AffineMap: [("sign", None), ("shift", None)],
         Permutation: [("images", None)],

@@ -12,7 +12,6 @@ from cactuskit.words import (
     Generator,
     InvalidGeneratorError,
     MoveNotApplicableError,
-    PresentationSpec,
     Word,
     WordParseError,
     all_generators,
@@ -447,20 +446,29 @@ def test_moves_preserve_projection(w):
         assert project(nb) == p
 
 
-def test_presentation_spec():
-    full = PresentationSpec(3, "full")
-    assert [str(g) for g in full.generators()] == ["s1,2", "s1,3", "s2,3"]
-    pairs_only = PresentationSpec(3, frozenset({2}))
-    assert [str(g) for g in pairs_only.generators()] == ["s1,2", "s2,3"]
-    assert PresentationSpec(5, frozenset({2, 5})).generators() == [
-        g for g in all_generators(5) if g.q - g.p + 1 in (2, 5)
-    ]
-    with pytest.raises(ValueError):
-        PresentationSpec(3, frozenset({4}))
-    for degree in (1, 3.0, True):
-        with pytest.raises(ValueError) as info:
-            PresentationSpec(degree, "full")
-        assert str(info.value) == f"degree must be an int of at least 2, got {degree!r}"
+def _moves_as_generator(a, b):
+    """The move table as a generator of the moves that rewrite the adjacent
+    pair a b, which yields nothing where the intervals overlap."""
+    (p, q), (m, r) = a, b
+    if a == b:
+        yield "cancel", ()
+    elif q < m or r < p:
+        yield "commute", (b, a)
+    elif p <= m and r <= q:
+        yield "left-to-right", ((p + q - r, p + q - m), a)
+    elif m <= p and q <= r:
+        yield "right-to-left", (b, (m + r - q, m + r - p))
+
+
+def test_moves_returns_the_one_move_the_generator_yielded():
+    for n in range(2, 9):
+        gens = _generator_pairs(n)
+        for a in gens:
+            for b in gens:
+                yielded = list(_moves_as_generator(a, b))
+                assert len(yielded) <= 1
+                assert words._moves(a, b) == (yielded[0] if yielded else ("overlap", ())), (a, b)
+    assert list(_moves_as_generator((1, 2), (2, 3))) == []
 
 
 def test_relation_instances_equal_the_relation_families():
