@@ -6,7 +6,7 @@ cover line, and verification sweeps tying the two sides together.
 imported from its module on first use (PEP 562) and then kept as a package
 attribute, so ``cactuskit.Word is cactuskit.words.Word``; a module loads the
 modules it imports with it (``equiv`` loads ``words``, ``degree3`` and
-``confspace``).
+``confspace``; ``moves`` loads ``words``).
 """
 
 _EXPORTS = {
@@ -51,6 +51,7 @@ _EXPORTS = {
         "pure_from_deck",
         "verify_action_axioms",
     ),
+    "moves": ("apply_commute", "apply_nesting", "equal_by_search", "neighbors"),
     "perm": ("Permutation", "interval_reversal", "is_pure", "project"),
     "words": (
         "DegreeMismatchError",
@@ -59,11 +60,7 @@ _EXPORTS = {
         "MoveNotApplicableError",
         "Word",
         "WordParseError",
-        "apply_commute",
-        "apply_nesting",
-        "equal_by_search",
         "free_reduce",
-        "neighbors",
         "parse_word",
     ),
 }

@@ -9,16 +9,16 @@ Each subcommand's handler imports the modules it uses, so a request loads
 only those: `normalize` loads `words` and `degree3`; `project` and `pure`
 load `words` and `perm`; `chambers` and `cover` load `words` and
 `confspace`; `cayley` loads `words`, `degree3` and `cayley`; `verify` loads
-`words`, `degree3`, `confspace` and `equiv`.
+`words`, `degree3`, `confspace` and `equiv`, and its oracle suite `moves` too.
+No request imports `re` or `typing`: `_is_negative_number` spells argparse's
+number pattern with `str` methods.
 """
 
 from __future__ import annotations
 
 import os
-import re
 import sys
 from types import SimpleNamespace
-from typing import Callable
 
 from .words import Word, WordParseError, free_reduce, parse_word
 
@@ -220,11 +220,18 @@ def _print_help(args: SimpleNamespace) -> int:
     return 0
 
 
+def _is_negative_number(arg: str) -> bool:
+    """Whether ``arg`` matches argparse's ``^-\\d+$|^-\\d*\\.\\d+$``: '-', then Unicode
+    decimal digits with at most one point, not last, and at most one final newline."""
+    body = arg[1:-1] if arg[-1:] == "\n" else arg[1:]
+    return arg[:1] == "-" and body.replace(".", "", 1).isdecimal() and body[-1:] != "."
+
+
 def _is_flag(arg: str, arguments: dict) -> bool:
     """Whether argparse reads ``arg`` as a flag, not as '-', a negative number or spaced text."""
     name = arg.partition("=")[0]
     return arg[:1] == "-" and arg != "-" and (
-        name in arguments or name in _HELP or not (" " in arg or re.match(r"^-\d+$|^-\d*\.\d+$", arg)))
+        name in arguments or name in _HELP or not (" " in arg or _is_negative_number(arg)))
 
 
 def _parse(argv: list[str]) -> tuple[Callable[[SimpleNamespace], int], SimpleNamespace]:

@@ -14,8 +14,8 @@ deliberately wrong variant of the cover map is included as a negative
 control so the verifiers themselves can be shown to catch errors.
 """
 
+from collections.abc import Callable, Iterable
 from itertools import product, repeat
-from typing import Callable, Iterable
 
 from .confspace import COVER_LABELS, CoverVertex, DeckElement, deck_act
 from .degree3 import (
@@ -29,7 +29,7 @@ from .degree3 import (
     pure_element,
     to_word,
 )
-from .words import Word, _setters, _Value, all_generators, relation_instances
+from .words import Word, _setters, _Value, all_generators
 
 
 class OutsideSubgroupError(ValueError):
@@ -320,6 +320,8 @@ def check_oracle(max_len: int = 8) -> Report:
     that length in that order, however few fail, and gives each word that
     ends at a failing pair its line.
     """
+    from .moves import relation_instances
+
     gens = all_generators(3)
     steps = [(canonicalize(Word(3, (g,))), affine_model(g)) for g in gens]
     ids = {(IDENTITY, AFFINE_IDENTITY): 0}  # each distinct (form, map) reached -> its id

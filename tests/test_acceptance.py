@@ -28,8 +28,9 @@ from cactuskit.equiv import (
     cover_to_group_perturbed,
     verify_action_axioms,
 )
+from cactuskit.moves import relation_instances
 from cactuskit.perm import is_pure, project
-from cactuskit.words import Word, free_reduce, parse_word, relation_instances
+from cactuskit.words import Word, free_reduce, parse_word
 
 
 def _check(num, name, budget, body):

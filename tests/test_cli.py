@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -518,6 +519,34 @@ def test_table_reads_argv_as_argparse_does(argv):
 )
 def test_table_reads_edge_cases_as_argparse_does(argv):
     assert _table_reading(argv) == _reference_reading(argv)
+
+
+# The pattern argparse reads a negative number with (no re.ASCII, so \d is any
+# Unicode decimal digit, and $ also matches before a final newline), kept as
+# the reference for the str check that replaced it.
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+@pytest.mark.parametrize(
+    "arg",
+    [
+        "-1", "-.5", "-1.", "-1.2.3", "-1e3", "--n", "-\u0661", "-\u00b2", "-5\n", "-", "-.", "-\n", "-5\n\n",
+        "-.5\n", "-1.\n", "-0.25", "-\uff11.\u0662", "-1 ", "- 1", "1", "-1_0", "-\n5", "-1\r",
+    ],
+)
+def test_negative_numbers_are_read_as_the_regex_did(arg):
+    assert cli._is_negative_number(arg) == bool(NEGATIVE_NUMBER.match(arg))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(st.text(alphabet="-.\n 1\u0661\u00b2e", max_size=8))
+def test_negative_number_text_is_read_as_the_regex_did(arg):
+    assert cli._is_negative_number(arg) == bool(NEGATIVE_NUMBER.match(arg))
+
+
+def test_every_character_is_a_digit_as_the_regex_has_it():
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [c for c in chars if cli._is_negative_number("-" + c) != bool(NEGATIVE_NUMBER.match("-" + c))] == []
 
 
 def test_abbreviations_and_the_separator_are_refused(capsys):

@@ -17,14 +17,8 @@ from cactuskit.degree3 import (
     pure_element,
     to_word,
 )
-from cactuskit.words import (
-    DegreeMismatchError,
-    Generator,
-    Word,
-    all_generators,
-    parse_word,
-    relation_instances,
-)
+from cactuskit.moves import relation_instances
+from cactuskit.words import DegreeMismatchError, Generator, Word, all_generators, parse_word
 
 degree3_words = st.lists(st.sampled_from(all_generators(3)), max_size=60).map(
     lambda letters: Word(3, tuple(letters))

@@ -36,7 +36,8 @@ from cactuskit.equiv import (
     pure_from_deck,
     verify_action_axioms,
 )
-from cactuskit.words import Word, all_generators, parse_word, relation_instances
+from cactuskit.moves import relation_instances
+from cactuskit.words import Word, all_generators, parse_word
 
 
 def test_pure_element_round_trip():

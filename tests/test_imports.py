@@ -32,9 +32,11 @@ def test_package_imports_only_the_standard_library():
 def test_cli_starts_without_the_slow_standard_modules():
     # dataclasses (which pulls in inspect) and json cost more than the whole
     # package's own import, and argparse (with getopt, gettext and locale) and
-    # pathlib cost a third of a request's own time.  -S keeps site's .pth hooks
-    # from importing them first.  Every subcommand and -h runs in one process.
-    slow = ("dataclasses", "inspect", "json", "argparse", "getopt", "gettext", "locale", "pathlib")
+    # pathlib cost a third of a request's own time; re and typing took about
+    # as long to import as the request's own modules.  -S keeps site's .pth
+    # hooks from importing them first.  Every subcommand and -h runs in one
+    # process; the oracle suite stays out, as moves imports typing.
+    slow = ("dataclasses", "inspect", "json", "argparse", "getopt", "gettext", "locale", "pathlib", "re", "typing")
     runs = [argv for argv, _ in SUBCOMMAND_MODULES] + [["-h"], ["verify", "-h"]]
     code = (
         f"import sys\nfrom cactuskit.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
@@ -81,11 +83,11 @@ PUBLIC = {
         "check_oracle", "check_shift_law", "cover_to_group", "deck_from_pure", "group_to_cover",
         "pure_action", "pure_from_deck", "verify_action_axioms",
     ),
+    "moves": ("apply_commute", "apply_nesting", "equal_by_search", "neighbors"),
     "perm": ("Permutation", "interval_reversal", "is_pure", "project"),
     "words": (
         "DegreeMismatchError", "Generator", "InvalidGeneratorError", "MoveNotApplicableError",
-        "Word", "WordParseError", "apply_commute", "apply_nesting",
-        "equal_by_search", "free_reduce", "neighbors", "parse_word",
+        "Word", "WordParseError", "free_reduce", "parse_word",
     ),
 }
 
@@ -109,6 +111,7 @@ def test_package_import_loads_no_submodule():
 
 
 # What each subcommand loads beyond cactuskit.cli; verify loads the most.
+# None loads moves: only the oracle suite reads it.
 SUBCOMMAND_MODULES = [
     (["normalize", "s1,2"], {"words", "degree3"}),
     (["project", "s1,2"], {"words", "perm"}),
@@ -118,10 +121,13 @@ SUBCOMMAND_MODULES = [
     (["cayley", "--radius", "1"], {"words", "degree3", "cayley"}),
     (["verify", "iso", "--kmin", "0", "--kmax", "1"], {"words", "degree3", "confspace", "equiv"}),
 ]
+ORACLE_MODULES = (["verify", "oracle", "--radius", "2"], {"words", "degree3", "confspace", "equiv", "moves"})
 
 
 @pytest.mark.parametrize(
-    "argv, modules", SUBCOMMAND_MODULES, ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES]
+    "argv, modules",
+    [*SUBCOMMAND_MODULES, ORACLE_MODULES],
+    ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES] + ["verify-oracle"],
 )
 def test_each_subcommand_loads_only_its_modules(argv, modules):
     statement = f"from cactuskit.cli import main\nassert main({argv!r}) == 0"

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cactuskit.degree3 import canonicalize, pure_element
+from cactuskit.moves import relation_instances
 from cactuskit.perm import Permutation, interval_reversal, is_pure, project
-from cactuskit.words import Word, all_generators, parse_word, relation_instances
+from cactuskit.words import Word, all_generators, parse_word
 
 
 def test_interval_reversal_examples():

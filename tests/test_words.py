@@ -1,11 +1,14 @@
 import random
+import re
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cactuskit.moves as moves
 import cactuskit.words as words
 from cactuskit.degree3 import canonicalize, to_word
+from cactuskit.moves import apply_commute, apply_nesting, equal_by_search, neighbors, relation_instances
 from cactuskit.perm import project
 from cactuskit.words import (
     DegreeMismatchError,
@@ -15,13 +18,8 @@ from cactuskit.words import (
     Word,
     WordParseError,
     all_generators,
-    apply_commute,
-    apply_nesting,
-    equal_by_search,
     free_reduce,
-    neighbors,
     parse_word,
-    relation_instances,
 )
 
 
@@ -85,6 +83,53 @@ def test_parse_word_edge_cases():
     with pytest.raises(ValueError) as info:
         parse_word("", True)
     assert str(info.value) == "degree must be an int of at least 2, got True"
+
+
+# The token pattern parse_word matched before it checked tokens with str
+# methods, kept as the reference for what a token is.
+TOKEN = re.compile(r"s(\d+),(\d+)\Z", re.ASCII)
+
+
+def _parse_by_regex(text, degree):
+    """The word the token pattern reads from text, or parse_word's message
+    for the first token it refuses."""
+    letters = []
+    for i, token in enumerate(text.split()):
+        match = TOKEN.match(token)
+        if match is None:
+            return f"token {i}: {token!r} is not of the form s<p>,<q>"
+        try:
+            letters.append(Generator(int(match.group(1)), int(match.group(2)), degree))
+        except InvalidGeneratorError as exc:
+            return f"token {i}: {exc}"
+    return Word(degree, letters)
+
+
+def _parse_or_message(text, degree):
+    try:
+        return parse_word(text, degree)
+    except WordParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "token",
+    [
+        "s1,2", "s01,2", "s3,4", "S1,2", "s+1,2", "s-1,2", "s1,", "s,2", "s,", "s", "s1,2,3", "s1,2s", "ss1,2",
+        # Arabic-Indic, fullwidth and superscript digits, which str.isdigit accepts.
+        "s\u0661,\u0662", "s\uff11,\uff12", "s\u00b9,\u00b2", "s1,\u00b2", "s\uff11,2",
+    ],
+)
+def test_parse_word_reads_tokens_as_the_regex_did(token):
+    for degree in (3, 4):
+        for text in (token, f"s1,2 {token} {token}"):
+            assert _parse_or_message(text, degree) == _parse_by_regex(text, degree)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.text(alphabet="s,S+-0123\u0661\uff11\u00b2 ", max_size=16))
+def test_parse_word_reads_text_as_the_regex_did(text):
+    assert _parse_or_message(text, 3) == _parse_by_regex(text, 3)
 
 
 def test_parse_word_builds_one_generator_per_distinct_token(monkeypatch):
@@ -467,7 +512,7 @@ def test_moves_returns_the_one_move_the_generator_yielded():
             for b in gens:
                 yielded = list(_moves_as_generator(a, b))
                 assert len(yielded) <= 1
-                assert words._moves(a, b) == (yielded[0] if yielded else ("overlap", ())), (a, b)
+                assert moves._moves(a, b) == (yielded[0] if yielded else ("overlap", ())), (a, b)
     assert list(_moves_as_generator((1, 2), (2, 3))) == []
 
 
