@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Callable
 from types import SimpleNamespace
 
 from .words import Word, WordParseError, free_reduce, parse_word

@@ -11,6 +11,7 @@ apply them and the equality oracle over those moves are in ``moves``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import total_ordering
 
 

@@ -35,12 +35,15 @@ def test_cli_starts_without_the_slow_standard_modules():
     # pathlib cost a third of a request's own time; re and typing took about
     # as long to import as the request's own modules.  -S keeps site's .pth
     # hooks from importing them first.  Every subcommand and -h runs in one
-    # process; the oracle suite stays out, as moves imports typing.
+    # process, and one more request goes through runpy, as `python -m
+    # cactuskit` does; the oracle suite stays out, as moves imports typing.
     slow = ("dataclasses", "inspect", "json", "argparse", "getopt", "gettext", "locale", "pathlib", "re", "typing")
     runs = [argv for argv, _ in SUBCOMMAND_MODULES] + [["-h"], ["verify", "-h"]]
     code = (
-        f"import sys\nfrom cactuskit.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
-        f"sys.stderr.write(' '.join(m for m in {slow!r} if m in sys.modules))"
+        f"import runpy, sys\nfrom cactuskit.cli import main\nfor argv in {runs!r}:\n    assert main(argv) == 0, argv\n"
+        "sys.argv = ['cactus', 'verify', 'iso', '--kmin', '0', '--kmax', '3', '--perturb-map']\n"
+        "try:\n    runpy.run_module('cactuskit', run_name='__main__')\nexcept SystemExit as exit:\n    assert exit.code == 0\n"
+        f"sys.stderr.write(' '.join(m for m in {slow + ('cactuskit.moves',)!r} if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
@@ -48,6 +51,7 @@ def test_cli_starts_without_the_slow_standard_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("(m=1, eps=0)\n")
+    assert proc.stdout.endswith("OK 24 cases\n")
     assert proc.stderr.split() == []
 
 
@@ -157,3 +161,27 @@ def test_public_names_are_unchanged(monkeypatch):
     exec("from cactuskit import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(names)
     assert cactuskit.__version__ == "0.1.0"
+
+
+def test_annotations_resolve_without_typing_at_import():
+    # The modules keep annotations as strings, so a name that only they use
+    # need not be imported for the module to load; it must still resolve.
+    import typing
+
+    from cactuskit import cli
+
+    unresolved = []
+    for module, group in PUBLIC.items():
+        source = importlib.import_module(f"cactuskit.{module}")
+        for name in group:
+            obj = getattr(source, name)
+            members = vars(obj).values() if isinstance(obj, type) else [obj]
+            for member in members:
+                member = getattr(member, "__func__", member)
+                if callable(member) and not isinstance(member, type):
+                    try:
+                        typing.get_type_hints(member)
+                    except NameError as error:
+                        unresolved.append(f"{module}.{name}: {error}")
+    typing.get_type_hints(cli._parse)
+    assert not unresolved, "\n".join(unresolved)
