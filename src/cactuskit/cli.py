@@ -6,10 +6,11 @@ it, so no request imports an argument-parsing library. Exit codes: 0 success
 answer, 2 usage (a usage line and `cactus <sub>: error: ...`), parse or I/O errors.
 
 Each subcommand's handler imports the modules it uses, so a request loads
-only those: `normalize` loads `words` and `degree3`; `project` and `pure`
-load `words` and `perm`; `chambers` and `cover` load `words` and
-`confspace`; `cayley` loads `words`, `degree3` and `cayley`; `verify` loads
-`words`, `degree3`, `confspace` and `equiv`, and its oracle suite `moves` too.
+only those: `normalize` loads `words`, and `degree3` at degree 3 only;
+`project` and `pure` load `words` and `perm`; `chambers` and `cover` load
+`words` and `confspace`; `cayley` loads `words`, `degree3` and `cayley`;
+`verify` loads `words`, `degree3`, `confspace` and `equiv`, and its oracle
+suite `moves` too.
 No request imports `re` or `typing`: `_is_negative_number` spells argparse's
 number pattern with `str` methods.
 """
@@ -72,10 +73,13 @@ def _read_word(args: SimpleNamespace) -> Word:
 
 
 def _cmd_normalize(args: SimpleNamespace) -> int:
-    from .degree3 import canonicalize
-
     w = _read_word(args)
-    print(canonicalize(w) if args.n == 3 else f"freely-reduced: {free_reduce(w)}")
+    if args.n == 3:
+        from .degree3 import canonicalize
+
+        print(canonicalize(w))
+    else:
+        print(f"freely-reduced: {free_reduce(w)}")
     return 0
 
 

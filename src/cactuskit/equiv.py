@@ -22,6 +22,7 @@ from .degree3 import (
     AFFINE_IDENTITY,
     IDENTITY,
     CanonicalForm,
+    _alt_concat,
     affine_model,
     canonicalize,
     evaluate_word,
@@ -71,9 +72,9 @@ def pure_action(g: PureElement, h: CanonicalForm) -> CanonicalForm:
     """Act on an eps=0 element; the result has index h.m + 3k and eps=0."""
     if h.eps:
         raise OutsideSubgroupError(f"{h} has a trailing s13; the action is not defined there")
-    out = mul(g._form, h)
-    # Dropping a trailing s13: out times s13 has out's index and eps 0.
-    return CanonicalForm(out.m, 0) if out.eps else out
+    # One form: mul's index by the parity rule, less the eps the action drops.
+    f = g._form
+    return CanonicalForm(_alt_concat(f.m, -h.m if f.eps else h.m), 0)
 
 
 def cover_to_group(v: CoverVertex) -> CanonicalForm:

@@ -73,8 +73,11 @@ def test_pure_action_examples():
 
 
 def test_pure_action_rejects_trailing_flip():
-    with pytest.raises(OutsideSubgroupError):
-        pure_action(PureElement(1), CanonicalForm(0, 1))
+    for k, m in ((1, 0), (0, -7), (2, 5)):
+        with pytest.raises(OutsideSubgroupError) as info:
+            pure_action(PureElement(k), CanonicalForm(m, 1))
+        assert type(info.value) is OutsideSubgroupError
+        assert str(info.value) == f"(m={m}, eps=1) has a trailing s13; the action is not defined there"
 
 
 @given(
@@ -94,6 +97,37 @@ def test_pure_action_is_one_product_then_a_dropped_s13():
             raw = mul(g.to_canonical(), h)
             expected = mul(raw, s13) if raw.eps else raw
             assert pure_action(g, h) == expected, (k, m)
+
+
+@given(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.integers(min_value=-10**9, max_value=10**9),
+    st.sampled_from((0, 1)),
+)
+@example(1, 0, 0)
+@example(-1, 7, 0)
+@example(3, -10**9, 1)
+def test_pure_action_is_the_product_less_its_s13_at_any_size(k, m, eps):
+    g, h = PureElement(k), CanonicalForm(m, eps)
+    if eps:
+        message = f"{h} has a trailing s13; the action is not defined there"
+        with pytest.raises(OutsideSubgroupError, match=f"^{re.escape(message)}$"):
+            pure_action(g, h)
+        return
+    raw = mul(g.to_canonical(), h)
+    assert pure_action(g, h) == (mul(raw, CanonicalForm(0, 1)) if raw.eps else raw)
+
+
+def test_pure_action_builds_one_form(monkeypatch):
+    # The product's eps is dropped, so no odd power builds a form with a
+    # trailing s13 only to build its index again without it.
+    cases = [(PureElement(k), CanonicalForm(m, 0)) for k in (-3, -2, -1, 0, 1, 2) for m in (-4, 5)]
+    built = []
+    init = CanonicalForm.__init__
+    monkeypatch.setattr(CanonicalForm, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    for g, h in cases:
+        pure_action(g, h)
+    assert len(built) == len(cases) == 12
 
 
 def test_pure_action_matches_word_level():

@@ -115,9 +115,11 @@ def test_package_import_loads_no_submodule():
 
 
 # What each subcommand loads beyond cactuskit.cli; verify loads the most.
-# None loads moves: only the oracle suite reads it.
+# None loads moves: only the oracle suite reads it, and normalize loads
+# degree3 only for a degree-3 word.
 SUBCOMMAND_MODULES = [
     (["normalize", "s1,2"], {"words", "degree3"}),
+    (["normalize", "--n", "4", "s1,2"], {"words"}),
     (["project", "s1,2"], {"words", "perm"}),
     (["pure", "s1,2 s1,2"], {"words", "perm"}),
     (["chambers", "--n", "4"], {"words", "confspace"}),
@@ -131,7 +133,8 @@ ORACLE_MODULES = (["verify", "oracle", "--radius", "2"], {"words", "degree3", "c
 @pytest.mark.parametrize(
     "argv, modules",
     [*SUBCOMMAND_MODULES, ORACLE_MODULES],
-    ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES] + ["verify-oracle"],
+    ids=[f"{argv[0]}-n{argv[2]}" if argv[1] == "--n" and argv[0] == "normalize" else argv[0]
+         for argv, _ in SUBCOMMAND_MODULES] + ["verify-oracle"],
 )
 def test_each_subcommand_loads_only_its_modules(argv, modules):
     statement = f"from cactuskit.cli import main\nassert main({argv!r}) == 0"
